@@ -24,14 +24,13 @@ from .errors import (
 from .exactring import (
     BaseRing,
     Fp,
-    SparsePoly,
     ZZ,
+    fp_rref,
     int_determinant,
     is_prime,
 )
 
 RANK_CAP = 12
-COEFF_BIT_SOFT_CAP = 512
 
 
 class StructureAlgebra:
@@ -271,26 +270,18 @@ def _dot(base, v, w):
 
 
 def _int_matrix_inverse_unimodular(U):
-    n = len(U)
     inv = _rational_inverse([[Fraction(x) for x in row] for row in U])
     return [[int(x) for x in row] for row in inv]
 
 
 def _fp_matrix_inverse(U, p):
+    """Inverse mod p: row-reduce [U | I] and read off the right half."""
     n = len(U)
-    m = [[U[i][j] % p for j in range(n)] + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col] % p), None)
-        if piv is None:
-            raise NonUnimodular("matrix singular mod p")
-        m[col], m[piv] = m[piv], m[col]
-        inv = pow(m[col][col], p - 2, p)
-        m[col] = [v * inv % p for v in m[col]]
-        for i in range(n):
-            if i != col and m[i][col]:
-                c = m[i][col]
-                m[i] = [(a - c * b) % p for a, b in zip(m[i], m[col])]
-    return [row[n:] for row in m]
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(U)]
+    reduced, pivots = fp_rref(aug, p)
+    if pivots[:n] != list(range(n)):
+        raise NonUnimodular("matrix singular mod p")
+    return [row[n:] for row in reduced]
 
 
 def _rational_inverse(rows):

@@ -12,7 +12,14 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import InvalidAlgebra, SplitFailure
-from .exactring import UniPolyFp, berlekamp_factor, is_irreducible, necklace_count
+from .exactring import (
+    UniPolyFp,
+    berlekamp_factor,
+    fp_kernel,
+    fp_rref,
+    is_irreducible,
+    necklace_count,
+)
 from .algebra import StructureAlgebra
 
 SPLIT_SEED = 0x5EED
@@ -22,28 +29,6 @@ LIFT_ITER_CAP = 64
 
 # ---------------------------------------------------------------------------
 # linear algebra over F_p
-
-
-def rref(rows, p):
-    """Row-reduce; returns (nonzero reduced rows, pivot column list)."""
-    m = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    ncols = len(m[0]) if m else 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][col] % p), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][col], p - 2, p)
-        m[r] = [v * inv % p for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col] % p:
-                c = m[i][col]
-                m[i] = [(a - c * b) % p for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-    return [tuple(row) for row in m[:r]], pivots
 
 
 def reduce_vector(v, rows, pivots, p):
@@ -56,56 +41,17 @@ def reduce_vector(v, rows, pivots, p):
     return tuple(v)
 
 
-def in_span(v, rows, pivots, p):
-    return not any(reduce_vector(v, rows, pivots, p))
-
-
 def solve_linear(columns, target, p):
     """Coefficients c with sum c_i * columns[i] = target, or None."""
-    if not columns:
-        return [] if not any(x % p for x in target) else None
-    n = len(columns[0])
     k = len(columns)
-    aug = [[columns[j][i] % p for j in range(k)] + [target[i] % p] for i in range(n)]
-    piv_of_col = {}
-    r = 0
-    for col in range(k):
-        piv = next((i for i in range(r, n) if aug[i][col]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = pow(aug[r][col], p - 2, p)
-        aug[r] = [v * inv % p for v in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][col]:
-                c = aug[i][col]
-                aug[i] = [(a - c * b) % p for a, b in zip(aug[i], aug[r])]
-        piv_of_col[col] = r
-        r += 1
-    for i in range(r, n):
-        if aug[i][k]:
-            return None
+    aug = [[col[i] for col in columns] + [t] for i, t in enumerate(target)]
+    reduced, pivots = fp_rref(aug, p)
+    if k in pivots:
+        return None
     sol = [0] * k
-    for col, row in piv_of_col.items():
-        sol[col] = aug[row][k]
+    for row, col in zip(reduced, pivots):
+        sol[col] = row[k]
     return sol
-
-
-def _fp_kernel(columns_map, n, p):
-    """Kernel of the linear map sending e_i to columns_map[i] (vectors of len n)."""
-    rows = [[columns_map[j][i] % p for j in range(n)] for i in range(n)]
-    m, pivots = rref(rows, p)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(n):
-        if free in pivot_set:
-            continue
-        v = [0] * n
-        v[free] = 1
-        for row, col in zip(m, pivots):
-            v[col] = (-row[free]) % p
-        basis.append(tuple(v))
-    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +116,7 @@ def nilradical(alg: StructureAlgebra):
     for i in range(n):
         v = alg.basis_vector(i)
         images.append(_vec_pow(alg, v, q))
-    ker = _fp_kernel(images, n, p)
-    rows, _ = rref(ker, p) if ker else ([], [])
+    rows, _ = fp_rref(fp_kernel(list(zip(*images)), p), p)
     return rows
 
 
@@ -262,7 +207,7 @@ def _split_etale(Q, rng):
     tries = 0
     while work:
         ident = work.pop()
-        basis, _ = rref([Q.mul(ident, b) for b in _quotient_basis(Q)], p)
+        basis, _ = fp_rref([Q.mul(ident, b) for b in _quotient_basis(Q)], p)
         d = len(basis)
         split = False
         for z in _candidate_elements(Q, basis, rng):
@@ -348,7 +293,7 @@ def decompose(alg: StructureAlgebra) -> ArtinDecomposition:
         raise InvalidAlgebra("decomposition needs base F_p")
     p, n = alg.base.p, alg.rank
     nil_rows = nilradical(alg)
-    _, nil_pivots = rref(nil_rows, p) if nil_rows else ([], [])
+    _, nil_pivots = fp_rref(nil_rows, p)
     Q = _Quotient(alg, nil_rows, nil_pivots)
     rng = random.Random(SPLIT_SEED)
     pieces = _split_etale(Q, rng)
@@ -357,25 +302,25 @@ def decompose(alg: StructureAlgebra) -> ArtinDecomposition:
     for qbar, f in pieces:
         e = _lift_idempotent(alg, Q.lift(qbar), p)
         fac_vectors = [alg.vec_mul(e, alg.basis_vector(j)) for j in range(n)]
-        fac_basis, fac_pivots = rref(fac_vectors, p)
+        fac_basis, fac_pivots = fp_rref(fac_vectors, p)
         dim = len(fac_basis)
         # maximal ideal = e * N
         m_vectors = [alg.vec_mul(e, v) for v in nil_rows]
-        m_basis, _ = rref(m_vectors, p) if m_vectors else ([], [])
+        m_basis, _ = fp_rref(m_vectors, p)
         m_dim = len(m_basis)
         if dim - m_dim != f:
             raise SplitFailure(
                 f"residue degree mismatch: dim {dim}, nil {m_dim}, expected f {f}"
             )
         m_sq = [alg.vec_mul(a, b) for a in m_basis for b in m_basis]
-        m_sq_basis, _ = rref(m_sq, p) if m_sq else ([], [])
+        m_sq_basis, _ = fp_rref(m_sq, p)
         tangent = (m_dim - len(m_sq_basis)) // f
         nilpotency = 1
         cur = m_basis
         while cur:
             nilpotency += 1
             nxt = [alg.vec_mul(a, b) for a in cur for b in m_basis]
-            cur, _ = rref(nxt, p) if nxt else ([], [])
+            cur, _ = fp_rref(nxt, p)
         results.append(
             (
                 LocalFactor(dim, f, tangent, nilpotency, tuple(fac_basis)),

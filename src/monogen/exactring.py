@@ -1,9 +1,9 @@
 """Exact arithmetic substrate.
 
 Base rings (Z, F_p, Z[t], F_p[t]), sparse multivariate polynomials in
-graded-lex canonical form, fraction-free determinants, univariate
-factorization over F_p, necklace counts, and integer-polynomial
-discriminants.
+graded-lex canonical form, symbolic and integer determinants, row
+reduction over F_p, univariate factorization over F_p, necklace counts,
+and integer-polynomial discriminants.
 
 Element encodings per base ring:
   Z    -> python int
@@ -14,8 +14,7 @@ Element encodings per base ring:
 
 from __future__ import annotations
 
-import json
-from math import gcd, isqrt
+from math import gcd
 
 from .errors import (
     ArityMismatch,
@@ -117,39 +116,6 @@ def _tup_mul(a, b, p=None):
     return _tup_trim(out)
 
 
-def _tup_exact_div(a, b, p=None):
-    """Schoolbook exact division a / b; raises InexactDivision if not exact."""
-    if not b:
-        raise InexactDivision("division by zero polynomial")
-    if not a:
-        return ()
-    if len(a) < len(b):
-        raise InexactDivision("degree of dividend below divisor")
-    rem = list(a)
-    q = [0] * (len(a) - len(b) + 1)
-    lb = b[-1]
-    if p is not None:
-        lb_inv = pow(lb, p - 2, p)
-    for k in range(len(a) - len(b), -1, -1):
-        lead = rem[k + len(b) - 1]
-        if lead == 0:
-            continue
-        if p is None:
-            if lead % lb != 0:
-                raise InexactDivision("coefficient not divisible")
-            c = lead // lb
-        else:
-            c = lead * lb_inv % p
-        q[k] = c
-        for j, v in enumerate(b):
-            rem[k + j] -= c * v
-            if p is not None:
-                rem[k + j] %= p
-    if any(rem):
-        raise InexactDivision("nonzero remainder")
-    return _tup_trim(q)
-
-
 # ---------------------------------------------------------------------------
 # base rings
 
@@ -184,10 +150,6 @@ class BaseRing:
     @property
     def is_polynomial(self) -> bool:
         return self.kind in ("ZX", "FpX")
-
-    @property
-    def char_p(self) -> int | None:
-        return self.p
 
     # -- element construction
 
@@ -244,18 +206,6 @@ class BaseRing:
         if self.kind == "Fp":
             return a * b % self.p
         return _tup_mul(a, b, self.p)
-
-    def exact_div(self, a, b):
-        if self.is_zero(b):
-            raise InexactDivision("division by zero")
-        if self.kind == "Z":
-            q, r = divmod(a, b)
-            if r:
-                raise InexactDivision(f"{a} not divisible by {b}")
-            return q
-        if self.kind == "Fp":
-            return a * pow(b, self.p - 2, self.p) % self.p
-        return _tup_exact_div(a, b, self.p)
 
     def is_zero(self, a) -> bool:
         if self.kind in ("Z", "Fp"):
@@ -480,25 +430,6 @@ class SparsePoly:
             k >>= 1
         return out
 
-    def exact_div(self, other):
-        """Exact division; raises InexactDivision unless other divides self."""
-        self._check_compatible(other)
-        if other.is_zero:
-            raise InexactDivision("division by zero polynomial")
-        base = self.base
-        rem = self
-        qterms = {}
-        de, dc = other.leading()
-        while not rem.is_zero:
-            ne, nc = rem.leading()
-            diff = tuple(a - b for a, b in zip(ne, de))
-            if any(d < 0 for d in diff):
-                raise InexactDivision("leading monomial not divisible")
-            c = base.exact_div(nc, dc)
-            qterms[diff] = c
-            rem = rem - SparsePoly(base, self.arity, {diff: c}) * other
-        return SparsePoly(base, self.arity, qterms)
-
     def __eq__(self, other):
         return (
             isinstance(other, SparsePoly)
@@ -537,12 +468,6 @@ class SparsePoly:
             raise BaseRingMismatch("reduction mod p needs an integral base")
         return SparsePoly(
             tgt, self.arity, {e: tgt.coerce(c) for e, c in self.terms.items()}
-        )
-
-    def map_base(self, new_base: BaseRing):
-        """Re-coerce coefficients into a compatible base ring (e.g. Z -> ZX)."""
-        return SparsePoly(
-            new_base, self.arity, {e: new_base.coerce(c) for e, c in self.terms.items()}
         )
 
     def canonical_sign(self) -> "SparsePoly":
@@ -618,52 +543,30 @@ class SparsePoly:
 # determinants
 
 
-def determinant_cofactor(m):
-    """Cofactor expansion along the first column."""
-    n = _check_square(m)
-    base, arity = m[0][0].base, m[0][0].arity
-    if n == 1:
-        return m[0][0]
-    acc = SparsePoly.zero(base, arity)
-    for i in range(n):
-        if m[i][0].is_zero:
-            continue
-        minor = [row[1:] for j, row in enumerate(m) if j != i]
-        term = m[i][0] * determinant_cofactor(minor)
-        acc = acc + term if i % 2 == 0 else acc - term
-    return acc
-
-
-def determinant_bareiss(m):
-    """Fraction-free elimination; every division is exact over a domain."""
-    n = _check_square(m)
-    base, arity = m[0][0].base, m[0][0].arity
-    a = [list(row) for row in m]
-    sign = 1
-    prev = SparsePoly.constant(base, arity, 1)
-    for k in range(n - 1):
-        if a[k][k].is_zero:
-            for i in range(k + 1, n):
-                if not a[i][k].is_zero:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return SparsePoly.zero(base, arity)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                a[i][j] = num.exact_div(prev)
-            a[i][k] = SparsePoly.zero(base, arity)
-        prev = a[k][k]
-    det = a[n - 1][n - 1]
-    return det if sign == 1 else -det
-
-
 def determinant(m):
-    """Exact determinant: cofactor for size <= 4, Bareiss beyond."""
+    """Exact determinant by Laplace expansion, one minor per column subset.
+
+    After row k, ``minors`` maps each (k+1)-column bitmask to the minor of
+    rows 0..k on those columns.  Extending by column j of the next row
+    crosses every chosen column above j, hence the sign.  Nothing is
+    divided, so the base ring only needs + and *.
+    """
     n = _check_square(m)
-    return determinant_cofactor(m) if n <= 4 else determinant_bareiss(m)
+    base, arity = m[0][0].base, m[0][0].arity
+    minors = {1 << j: f for j, f in enumerate(m[0]) if not f.is_zero}
+    for row in m[1:]:
+        signed = [(f, -f) for f in row]
+        nxt = {}
+        for mask, minor in minors.items():
+            for j, (f, neg_f) in enumerate(signed):
+                bit = 1 << j
+                if mask & bit or f.is_zero:
+                    continue
+                term = minor * (neg_f if bin(mask >> j).count("1") & 1 else f)
+                key = mask | bit
+                nxt[key] = nxt[key] + term if key in nxt else term
+        minors = {k: f for k, f in nxt.items() if not f.is_zero}
+    return minors.get((1 << n) - 1, SparsePoly.zero(base, arity))
 
 
 def _check_square(m):
@@ -695,6 +598,46 @@ def int_determinant(m):
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+# ---------------------------------------------------------------------------
+# linear algebra over F_p
+
+
+def fp_rref(rows, p):
+    """Reduced row echelon form over F_p: (nonzero rows as tuples, pivot columns)."""
+    m = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    ncols = len(m[0]) if m else 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, len(m)) if m[i][col] % p), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = pow(m[r][col], p - 2, p)
+        m[r] = [v * inv % p for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col] % p:
+                c = m[i][col]
+                m[i] = [(a - c * b) % p for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+        r += 1
+    return [tuple(row) for row in m[:r]], pivots
+
+
+def fp_kernel(rows, p):
+    """Basis of {v : row . v = 0 mod p for every row}, one vector per free column."""
+    ncols = len(rows[0]) if rows else 0
+    reduced, pivots = fp_rref(rows, p)
+    basis = []
+    for free in sorted(set(range(ncols)) - set(pivots)):
+        v = [0] * ncols
+        v[free] = 1
+        for row, col in zip(reduced, pivots):
+            v[col] = (-row[free]) % p
+        basis.append(tuple(v))
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -871,40 +814,6 @@ def _squarefree_decomposition(f: UniPolyFp):
     return list(merged.items())
 
 
-def _fp_kernel_basis(rows, p):
-    """Kernel basis of the matrix with the given rows, over F_p."""
-    n = len(rows[0]) if rows else 0
-    m = [list(r) for r in rows]
-    pivots = {}
-    r = 0
-    for col in range(n):
-        piv = None
-        for i in range(r, len(m)):
-            if m[i][col] % p:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][col], p - 2, p)
-        m[r] = [v * inv % p for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col] % p:
-                c = m[i][col]
-                m[i] = [(a - c * b) % p for a, b in zip(m[i], m[r])]
-        pivots[col] = r
-        r += 1
-    basis = []
-    free = [c for c in range(n) if c not in pivots]
-    for fc in free:
-        v = [0] * n
-        v[fc] = 1
-        for col, row in pivots.items():
-            v[col] = (-m[row][fc]) % p
-        basis.append(tuple(v))
-    return basis
-
-
 def _berlekamp_squarefree(f: UniPolyFp):
     """Factor a squarefree monic f via Berlekamp's kernel plus gcd splitting."""
     p = f.p
@@ -921,7 +830,7 @@ def _berlekamp_squarefree(f: UniPolyFp):
         coeffs[i] = (coeffs[i] - 1) % p
         rows.append(coeffs)
         power = (power * xp) % f
-    kernel = _fp_kernel_basis(list(map(list, zip(*rows))), p)
+    kernel = fp_kernel(list(zip(*rows)), p)
     r = len(kernel)
     if r == 1:
         return [f]
@@ -1041,11 +950,3 @@ def _resultant(a, b):
         for j, c in enumerate(reversed(b)):
             m[db + i][i + j] = c
     return int_determinant(m)
-
-
-def poly_to_text(f: SparsePoly, var_names=None) -> str:
-    return f.text(var_names)
-
-
-def poly_to_json_str(f: SparsePoly) -> str:
-    return json.dumps(f.to_json(), separators=(",", ":"))

@@ -23,6 +23,8 @@ def load_algebra_json(doc, label_hint: str = "") -> StructureAlgebra:
     if not isinstance(doc, dict):
         raise ParseError("input must be a JSON object")
     inner = doc.get("algebra") or doc.get("order") or doc
+    if not isinstance(inner, dict):
+        raise ParseError("'algebra' or 'order' must be a JSON object")
     label = doc.get("label") or inner.get("label") or label_hint
     try:
         if "minpoly" in inner:
@@ -36,7 +38,7 @@ def load_algebra_json(doc, label_hint: str = "") -> StructureAlgebra:
             )
     except MonogenError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"malformed input: {exc}") from exc
     alg.require_valid()
     return alg

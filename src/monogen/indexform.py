@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidAlgebra, LengthMismatch
-from .exactring import BaseRing, SparsePoly, determinant
+from .exactring import SparsePoly, determinant
 from .algebra import StructureAlgebra
 
 

@@ -71,8 +71,11 @@ def common_index_divisors(
 ):
     """Sorted primes where no residue tuple makes the index form nonzero.
 
-    Only p < n can fail: for p >= n the affine line over F_p has at least
-    as many closed points of each residue degree as the fiber can use.
+    Only p < n are tested.  For the maximal order that suffices: for
+    p >= n the affine line over F_p has at least as many closed points of
+    each residue degree as the fiber can use.  A non-maximal order whose
+    conductor has a prime p >= n can also fail at p (the fiber has a
+    factor of tangent dimension >= 2); such primes are a known gap.
     """
     _require_z(alg)
     if form is None:

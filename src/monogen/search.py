@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, IdentityNotInBasis, NotIntegerBase
+from .errors import BudgetExceeded, IdentityNotInBasis, MonogenError, NotIntegerBase
 from .algebra import StructureAlgebra
 from .indexform import IndexForm, index_form
 
@@ -46,6 +46,8 @@ def search_monogenerators(
     """
     if alg.base.kind != "Z":
         raise NotIntegerBase("monogenerator search needs base Z")
+    if height < 0:
+        raise MonogenError(f"search height must be >= 0, got {height}")
     alg.require_valid()
     if form is None:
         form = index_form(alg)

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
 
 from monogen.algebra import (
     OrderPresentation,
@@ -76,3 +78,28 @@ def random_algebra(rng, max_rank=4, keep_identity_first=True):
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+def random_fp_matrix(rng, p, max_dim=6):
+    """Random matrix over F_p: full random, all zero, or of deficient rank."""
+    nrows, ncols = rng.randint(1, max_dim), rng.randint(1, max_dim)
+    kind = rng.choice(["random", "zero", "deficient"])
+    if kind == "zero":
+        return [[0] * ncols for _ in range(nrows)]
+    if kind == "random":
+        return [[rng.randrange(p) for _ in range(ncols)] for _ in range(nrows)]
+    spanning = [
+        [rng.randrange(p) for _ in range(ncols)]
+        for _ in range(rng.randint(1, max(1, min(nrows, ncols) - 1)))
+    ]
+    return [
+        [sum(rng.randrange(p) * b[j] for b in spanning) % p for j in range(ncols)]
+        for _ in range(nrows)
+    ]
+
+
+def sympy_gf_matrix(rows, p, ncols=None):
+    """The same matrix as a sympy DomainMatrix over GF(p)."""
+    K = GF(p)
+    shape = (len(rows), len(rows[0]) if rows else ncols)
+    return DomainMatrix([[K(x) for x in r] for r in rows], shape, K)

@@ -14,9 +14,10 @@ from monogen.algebra import (
     OrderPresentation,
     StructureAlgebra,
     power_basis_algebra,
+    _fp_matrix_inverse,
     split_algebra,
 )
-from monogen.exactring import ZZ, discriminant_unipoly
+from monogen.exactring import ZZ, discriminant_unipoly, int_determinant
 from conftest import dedekind_order, gaussian_order, random_monic, random_unimodular
 
 
@@ -200,3 +201,26 @@ def _int_inverse(U):
 
     inv = _rational_inverse([[Fraction(x) for x in row] for row in U])
     return [[int(x) for x in row] for row in inv]
+
+
+class TestFpMatrixInverse:
+    @pytest.mark.parametrize("p", [2, 3, 7])
+    def test_random(self, p):
+        rng = random.Random(p)
+        for _ in range(60):
+            n = rng.randint(1, 5)
+            U = [[rng.randint(-p, 2 * p) for _ in range(n)] for _ in range(n)]
+            if n > 1 and rng.random() < 0.2:
+                U[-1] = [2 * x for x in U[0]]  # singular
+            if int_determinant(U) % p == 0:
+                with pytest.raises(NonUnimodular):
+                    _fp_matrix_inverse(U, p)
+                continue
+            inv = _fp_matrix_inverse(U, p)
+            ident = [[int(i == j) for j in range(n)] for i in range(n)]
+            for a, b in ((U, inv), (inv, U)):
+                prod = [
+                    [sum(a[i][k] * b[k][j] for k in range(n)) % p for j in range(n)]
+                    for i in range(n)
+                ]
+                assert prod == ident

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -118,6 +119,27 @@ class TestCommands:
         doc = json.loads(err)
         assert doc["error"] == "ParseError"
 
+    def test_zero_denominator_exit_1(self, capsys, tmp_path):
+        doc = {"order": {"minpoly": [-5, 0, 1], "basis": [["1", "0"], ["0", "1/0"]]}}
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "classify", str(path), "--json")
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "ParseError"
+
+    def test_non_object_order_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps({"order": [1, 2]}))
+        code, out, err = run(capsys, "validate", str(path), "--json")
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "ParseError"
+
+    @pytest.mark.parametrize("command", ["search", "classify"])
+    def test_negative_height_exit_1(self, capsys, command):
+        code, out, err = run(capsys, command, fixture_path("gaussian_integers"), "--height", "-1")
+        assert code == 1 and out == ""
+        assert "height" in err
+
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])
@@ -131,6 +153,13 @@ class TestCommands:
 
 
 class TestDeterminism:
+    def test_corpus_json_matches_golden(self, capsys):
+        """The corpus report must not change; regenerate the file only on purpose."""
+        golden = Path(__file__).with_name("corpus_golden.json").read_text(encoding="utf-8")
+        code, out, _ = run(capsys, "corpus", "--json")
+        assert code == 0
+        assert out == golden
+
     def test_corpus_byte_identical(self):
         cmd = [sys.executable, "-m", "monogen.cli", "corpus"]
         a = subprocess.run(cmd, capture_output=True, text=True)

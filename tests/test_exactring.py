@@ -3,10 +3,10 @@ import random
 import pytest
 import sympy
 
+from monogen.algebra import split_algebra
 from monogen.errors import (
     ArityMismatch,
     BaseRingMismatch,
-    InexactDivision,
     NonMonic,
     NonSquare,
     ZeroPolynomial,
@@ -20,13 +20,16 @@ from monogen.exactring import (
     berlekamp_factor,
     content_primes,
     determinant,
-    determinant_bareiss,
-    determinant_cofactor,
     discriminant_unipoly,
+    fp_kernel,
+    fp_rref,
+    int_determinant,
     is_irreducible,
     is_prime,
     necklace_count,
 )
+from monogen.indexform import matrix_of_coefficients
+from conftest import random_fp_matrix, sympy_gf_matrix
 
 
 def v(i, arity=3, base=ZZ):
@@ -60,16 +63,6 @@ class TestPolyArith:
         a = v(0) * v(1) + c(7)
         assert (a * SparsePoly.zero(ZZ, 3)).is_zero
 
-    def test_vandermonde_exact_division(self):
-        det = determinant(vandermonde(3))
-        q = det.exact_div(v(0) - v(1))
-        expect = (v(0) - v(2)) * (v(1) - v(2))
-        assert q in (expect, -expect)
-
-    def test_inexact_division_raises(self):
-        with pytest.raises(InexactDivision):
-            (v(0) + c(1)).exact_div(v(1))
-
     def test_mismatched_arity_raises(self):
         with pytest.raises(ArityMismatch):
             v(0, 2) + v(0, 3)
@@ -77,15 +70,6 @@ class TestPolyArith:
     def test_mismatched_base_raises(self):
         with pytest.raises(BaseRingMismatch):
             v(0, 2) + v(0, 2, base=Fp(5))
-
-    def test_division_round_trip_random(self):
-        rng = random.Random(7)
-        for _ in range(50):
-            a = _random_poly(rng, 2)
-            b = _random_poly(rng, 2)
-            if b.is_zero:
-                continue
-            assert (a * b).exact_div(b) == a
 
     def test_canonical_text_round_trip(self):
         f = c(-2) * v(1) ** 3 + c(5) * v(0) * v(2)
@@ -125,25 +109,125 @@ class TestDeterminant:
         with pytest.raises(NonSquare):
             determinant([[c(1), c(2)]])
 
+    # The symbolic determinant is a cofactor (Laplace) expansion; the
+    # oracles are the integer Bareiss determinant at random points and sympy.
+
     def test_bareiss_matches_cofactor_random(self):
         rng = random.Random(11)
-        for _ in range(200):
-            n = rng.randint(1, 4)
+        for _ in range(120):
+            n = rng.randint(1, 6)
             m = [[_random_poly(rng, 2) for _ in range(n)] for _ in range(n)]
-            assert determinant_bareiss(m) == determinant_cofactor(m)
+            det = determinant(m)
+            for _ in range(3):
+                pt = [rng.randint(-4, 4) for _ in range(2)]
+                at = [[f.evaluate(pt) for f in row] for row in m]
+                assert det.evaluate(pt) == int_determinant(at)
 
     def test_bareiss_matches_cofactor_mod_p(self):
         rng = random.Random(13)
         base = Fp(5)
-        for _ in range(40):
-            n = rng.randint(2, 4)
+        for _ in range(60):
+            n = rng.randint(1, 6)
             m = [[_random_poly(rng, 1, base) for _ in range(n)] for _ in range(n)]
-            assert determinant_bareiss(m) == determinant_cofactor(m)
+            det = determinant(m)
+            for x in range(5):
+                at = [[f.evaluate([x]) for f in row] for row in m]
+                assert det.evaluate([x]) == int_determinant(at) % 5
 
     def test_bareiss_vandermonde_5(self):
-        det = determinant_bareiss(vandermonde(5))
+        det = determinant(vandermonde(5))
         prod = difference_product(5)
         assert det in (prod, -prod)
+        pt = [2, -1, 3, 0, 5]
+        at = [[f.evaluate(pt) for f in row] for row in vandermonde(5)]
+        assert det.evaluate(pt) == int_determinant(at)
+
+    def test_bareiss_matches_cofactor_zx(self):
+        rng = random.Random(19)
+        for _ in range(60):
+            n = rng.randint(1, 6)
+            m = [[_random_poly(rng, 2, ZX) for _ in range(n)] for _ in range(n)]
+            det = determinant(m)
+            for _ in range(3):
+                pt, t0 = [rng.randint(-3, 3) for _ in range(2)], rng.randint(-3, 3)
+                at = [[_at_t(f.evaluate(pt), t0) for f in row] for row in m]
+                assert _at_t(det.evaluate(pt), t0) == int_determinant(at)
+
+    @pytest.mark.parametrize("base", [ZZ, Fp(5), ZX], ids=["Z", "F5", "ZX"])
+    def test_against_sympy(self, base):
+        rng = random.Random(17)
+        xs = sympy.symbols("x1 x2")
+        t = sympy.Symbol("t")
+        for n in range(1, 5):
+            for _ in range(3):
+                m = [[_random_poly(rng, 2, base) for _ in range(n)] for _ in range(n)]
+                ours = _to_sympy(determinant(m), xs, t)
+                theirs = sympy.Matrix([[_to_sympy(f, xs, t) for f in row] for row in m]).det()
+                diff = sympy.expand(ours - theirs)
+                if base.p:
+                    assert sympy.Poly(diff, *xs, modulus=base.p).is_zero
+                else:
+                    assert diff == 0
+
+    def test_split_6(self):
+        m = matrix_of_coefficients(split_algebra(6))
+        det = determinant(m)
+        prod = difference_product(6)
+        assert det in (prod, -prod)
+        rng = random.Random(23)
+        for _ in range(5):
+            pt = [rng.randint(-5, 5) for _ in range(6)]
+            at = [[f.evaluate(pt) for f in row] for row in m]
+            assert det.evaluate(pt) == int_determinant(at)
+
+
+def _at_t(cf, t0):
+    return sum(k * t0**i for i, k in enumerate(cf))
+
+
+def _to_sympy(f, xs, t):
+    """Expression for f; coefficients over Z[t] become polynomials in t."""
+    out = 0
+    for exps, cf in f.terms.items():
+        if f.base.is_polynomial:
+            cf = _at_t(cf, t)
+        out += cf * sympy.Mul(*(x**e for x, e in zip(xs, exps)))
+    return out
+
+
+class TestFpLinearAlgebra:
+    def test_empty(self):
+        assert fp_rref([], 5) == ([], [])
+        assert fp_kernel([], 5) == []
+
+    def test_zero_matrix(self):
+        assert fp_rref([[0, 0, 0], [0, 0, 0]], 3) == ([], [])
+        assert fp_kernel([[0, 0], [0, 0]], 3) == [(1, 0), (0, 1)]
+
+    @pytest.mark.parametrize("p", [2, 3, 7])
+    def test_rref_against_sympy(self, p):
+        rng = random.Random(p)
+        for _ in range(80):
+            m = random_fp_matrix(rng, p)
+            # entries outside [0, p) must reduce the same way
+            shifted = [[x + p * rng.randint(-2, 2) for x in row] for row in m]
+            rows, pivots = fp_rref(shifted, p)
+            ref, ref_pivots = sympy_gf_matrix(m, p).rref()
+            ref_rows = [tuple(int(x) % p for x in r) for r in ref.to_list()[: len(ref_pivots)]]
+            assert (rows, pivots) == (ref_rows, list(ref_pivots))
+
+    @pytest.mark.parametrize("p", [2, 3, 7])
+    def test_kernel(self, p):
+        rng = random.Random(100 + p)
+        for _ in range(80):
+            m = random_fp_matrix(rng, p)
+            ncols = len(m[0])
+            ker = fp_kernel(m, p)
+            assert len(ker) == ncols - sympy_gf_matrix(m, p).rank()
+            for vec in ker:
+                assert all(sum(a * b for a, b in zip(row, vec)) % p == 0 for row in m)
+            if ker:
+                assert sympy_gf_matrix(ker, p).rank() == len(ker)
 
 
 class TestContentPrimes:
