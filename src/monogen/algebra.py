@@ -173,40 +173,20 @@ class StructureAlgebra:
             if det not in (1, -1):
                 raise NonUnimodular(f"det(U) = {det} is not a unit")
             Uinv = _int_matrix_inverse_unimodular(U)
-            red = lambda x: x
         else:
-            p = self.base.p
-            if det % p == 0:
+            if det % self.base.p == 0:
                 raise NonUnimodular("det(U) = 0 mod p")
-            Uinv = _fp_matrix_inverse(U, p)
-            red = lambda x: x % p
+            Uinv = _fp_matrix_inverse(U, self.base.p)
         base = self.base
-        new_constants = [[[base.zero] * n for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                w = [base.zero] * n
-                for a in range(n):
-                    ua = base.coerce(red(U[i][a]))
-                    if base.is_zero(ua):
-                        continue
-                    for b in range(n):
-                        ub = base.coerce(red(U[j][b]))
-                        if base.is_zero(ub):
-                            continue
-                        c = base.mul(ua, ub)
-                        for k in range(n):
-                            t = self.constants[a][b][k]
-                            if not base.is_zero(t):
-                                w[k] = base.add(w[k], base.mul(c, t))
-                for m in range(n):
-                    acc = base.zero
-                    for k in range(n):
-                        acc = base.add(acc, base.mul(w[k], base.coerce(red(Uinv[k][m]))))
-                    new_constants[i][j][m] = acc
-        new_identity = [
-            _dot(self.base, self.identity, [base.coerce(red(Uinv[k][m])) for k in range(n)])
-            for m in range(n)
-        ]
+        columns = [[base.coerce(x) for x in col] for col in zip(*Uinv)]
+
+        def new_coords(w):
+            """Coordinates in the new basis of an element with old coordinates w."""
+            return [_dot(base, w, col) for col in columns]
+
+        rows = [tuple(base.coerce(x) for x in row) for row in U]
+        new_constants = [[new_coords(self.vec_mul(a, b)) for b in rows] for a in rows]
+        new_identity = new_coords(self.identity)
         return StructureAlgebra(
             base, n, new_constants, new_identity, label=f"{self.label} (basis changed)"
         )

@@ -9,7 +9,7 @@ independent of brute-force index-form enumeration.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InvalidAlgebra, SplitFailure
 from .exactring import (
@@ -66,7 +66,6 @@ class LocalFactor:
     residue_degree: int
     tangent_dim: int
     nilpotency_index: int
-    basis: tuple = field(default=(), compare=False)
 
     def to_json(self):
         return {
@@ -293,7 +292,7 @@ def decompose(alg: StructureAlgebra) -> ArtinDecomposition:
         raise InvalidAlgebra("decomposition needs base F_p")
     p, n = alg.base.p, alg.rank
     nil_rows = nilradical(alg)
-    _, nil_pivots = fp_rref(nil_rows, p)
+    nil_pivots = [row.index(1) for row in nil_rows]  # each RREF row leads with 1
     Q = _Quotient(alg, nil_rows, nil_pivots)
     rng = random.Random(SPLIT_SEED)
     pieces = _split_etale(Q, rng)
@@ -302,8 +301,7 @@ def decompose(alg: StructureAlgebra) -> ArtinDecomposition:
     for qbar, f in pieces:
         e = _lift_idempotent(alg, Q.lift(qbar), p)
         fac_vectors = [alg.vec_mul(e, alg.basis_vector(j)) for j in range(n)]
-        fac_basis, fac_pivots = fp_rref(fac_vectors, p)
-        dim = len(fac_basis)
+        dim = len(fp_rref(fac_vectors, p)[0])
         # maximal ideal = e * N
         m_vectors = [alg.vec_mul(e, v) for v in nil_rows]
         m_basis, _ = fp_rref(m_vectors, p)
@@ -321,12 +319,7 @@ def decompose(alg: StructureAlgebra) -> ArtinDecomposition:
             nilpotency += 1
             nxt = [alg.vec_mul(a, b) for a in cur for b in m_basis]
             cur, _ = fp_rref(nxt, p)
-        results.append(
-            (
-                LocalFactor(dim, f, tangent, nilpotency, tuple(fac_basis)),
-                e,
-            )
-        )
+        results.append((LocalFactor(dim, f, tangent, nilpotency), e))
 
     results.sort(key=lambda fe: (fe[0].dimension, fe[0].residue_degree, fe[0].tangent_dim, fe[1]))
     factors = tuple(f for f, _ in results)

@@ -50,7 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="full monogenicity report")
     p.add_argument("input")
     p.add_argument("--height", type=int, default=10)
-    p.add_argument("--artin-bound", type=int, default=localmono.DEFAULT_ARTIN_BOUND)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("artin", help="local factors of the fiber algebra at a prime")
@@ -104,7 +103,7 @@ def _cmd_index_form(args, cap):
 
 def _cmd_classify(args, cap):
     alg = parse_input(args.input)
-    report = localmono.classify(alg, args.height, cap, args.artin_bound)
+    report = localmono.classify(alg, args.height, cap)
     if args.json:
         print(json.dumps(report.to_json()))
     else:

@@ -340,12 +340,6 @@ class SparsePoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_degree(self) -> int:
-        """Degree of the zero polynomial is -1 by convention here."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def is_homogeneous(self, degree=None) -> bool:
         if not self.terms:
             return True
@@ -753,12 +747,6 @@ class UniPolyFp:
             b = (b * b) % mod
             k >>= 1
         return out
-
-    def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * x + c) % self.p
-        return acc
 
     def exact_div(self, other):
         q, r = self.divmod(other)

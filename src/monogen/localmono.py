@@ -7,18 +7,19 @@ the same verdicts independently.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
-from .errors import BudgetExceeded, NotIntegerBase, ZeroIndexForm
+from .errors import NotIntegerBase, ZeroIndexForm
 from .exactring import content_primes, is_prime
 from .algebra import StructureAlgebra
 from .indexform import IndexForm, index_form
 from . import artin
-from .search import DEFAULT_ENUM_CAP, SearchResult, search_monogenerators
+from .search import DEFAULT_ENUM_CAP, SearchResult, scan, search_monogenerators
 
-DEFAULT_ARTIN_BOUND = 7
-DEFAULT_OBSTRUCTION_BOUND = 25
+# classify cross-checks the two fiber oracles at every prime up to this
+# bound and at every common index divisor.
+CROSSCHECK_BOUND = 7
+OBSTRUCTION_BOUND = 25
 
 
 @dataclass(frozen=True)
@@ -49,20 +50,9 @@ def is_monogenic_at_prime(
     _require_z(alg)
     if form is None:
         form = index_form(alg)
-    fp_form = form.reduce_mod_p(p)
-    if fp_form.is_zero:
-        return LocalVerdict(p, False)
-    used = fp_form.variables_used()
-    m = len(used)
-    if p**m > cap:
-        raise BudgetExceeded(f"{p}^{m} exceeds the enumeration cap {cap}")
-    n = alg.rank
-    for combo in itertools.product(range(p), repeat=m):
-        v = [0] * n
-        for i, c in zip(used, combo):
-            v[i] = c
-        if fp_form.evaluate(v) != 0:
-            return LocalVerdict(p, True, tuple(v))
+    for v, value in scan(form.reduce_mod_p(p), range(p), cap):
+        if value != 0:
+            return LocalVerdict(p, True, v)
     return LocalVerdict(p, False)
 
 
@@ -71,20 +61,26 @@ def common_index_divisors(
 ):
     """Sorted primes where no residue tuple makes the index form nonzero.
 
-    Only p < n are tested.  For the maximal order that suffices: for
-    p >= n the affine line over F_p has at least as many closed points of
-    each residue degree as the fiber can use.  A non-maximal order whose
-    conductor has a prime p >= n can also fail at p (the fiber has a
-    factor of tangent dimension >= 2); such primes are a known gap.
+    Raises ZeroIndexForm when the form is identically zero, since then
+    every prime would be one.
     """
     _require_z(alg)
     if form is None:
         form = index_form(alg)
-    out = []
-    for p in range(2, alg.rank):
-        if is_prime(p) and not is_monogenic_at_prime(alg, p, cap, form).monogenic_at_p:
-            out.append(p)
-    return out
+    vanishing = geometric_point_verdict(alg, form)["vanishing_fiber_primes"]
+    return [v.prime for v in _prime_verdicts(alg, cap, form, vanishing) if not v.monogenic_at_p]
+
+
+def _prime_verdicts(alg, cap, form, vanishing):
+    """Brute-force verdicts at every prime that can be a common index divisor.
+
+    These are the primes p < n and the vanishing fiber primes.  For p >= n
+    the affine line over F_p has enough closed points of every degree, so
+    the fiber fails only when a local factor has tangent dimension >= 2,
+    that is, when the index form vanishes identically mod p.
+    """
+    primes = sorted({p for p in range(2, alg.rank) if is_prime(p)} | vanishing)
+    return [is_monogenic_at_prime(alg, p, cap, form) for p in primes]
 
 
 def geometric_point_verdict(
@@ -105,22 +101,11 @@ def geometric_point_verdict(
 
 def value_set_mod_p(form: IndexForm, p: int, cap: int = DEFAULT_ENUM_CAP):
     """All values of the index form over F_p tuples."""
-    fp_form = form.reduce_mod_p(p)
-    used = fp_form.variables_used()
-    if p ** len(used) > cap:
-        raise BudgetExceeded(f"{p}^{len(used)} exceeds the enumeration cap {cap}")
-    n = form.rank
-    values = set()
-    for combo in itertools.product(range(p), repeat=len(used)):
-        v = [0] * n
-        for i, c in zip(used, combo):
-            v[i] = c
-        values.add(fp_form.evaluate(v))
-    return values
+    return {value for _, value in scan(form.reduce_mod_p(p), range(p), cap)}
 
 
 def local_obstruction_primes(
-    form: IndexForm, bound: int = DEFAULT_OBSTRUCTION_BOUND, cap: int = DEFAULT_ENUM_CAP
+    form: IndexForm, bound: int = OBSTRUCTION_BOUND, cap: int = DEFAULT_ENUM_CAP
 ):
     """Primes p <= bound where the form never takes the values +-1 mod p.
 
@@ -190,7 +175,7 @@ class MonogenicityReport:
         for c in self.artin_crosscheck:
             lines.append(
                 f"  artin p={c['p']}: fiber_monogenic={c['artin']} "
-                f"brute_force={c['brute']} agree={c['agree']}"
+                f"brute_force={c['brute']}"
             )
         for note in self.notes:
             lines.append(f"note: {note}")
@@ -198,38 +183,28 @@ class MonogenicityReport:
 
 
 def classify(
-    alg: StructureAlgebra,
-    height: int,
-    cap: int = DEFAULT_ENUM_CAP,
-    artin_bound: int = DEFAULT_ARTIN_BOUND,
-    obstruction_bound: int = DEFAULT_OBSTRUCTION_BOUND,
+    alg: StructureAlgebra, height: int, cap: int = DEFAULT_ENUM_CAP
 ) -> MonogenicityReport:
     """Aggregate every verdict for an integer algebra."""
     _require_z(alg)
     alg.require_valid()
     form = index_form(alg)
-    if form.form.is_zero:
-        raise ZeroIndexForm(f"index form of {alg.label!r} is identically zero")
-
     geo = geometric_point_verdict(alg, form)
-    verdicts = [
-        is_monogenic_at_prime(alg, p, cap, form)
-        for p in range(2, max(alg.rank, 2))
-        if is_prime(p)
-    ]
+    verdicts = _prime_verdicts(alg, cap, form, geo["vanishing_fiber_primes"])
     cids = [v.prime for v in verdicts if not v.monogenic_at_p]
-    zariski = not cids
 
     result = search_monogenerators(alg, height, cap, form)
 
     crosscheck = []
-    for p in range(2, artin_bound + 1):
-        if not is_prime(p):
-            continue
+    for p in sorted({p for p in range(2, CROSSCHECK_BOUND + 1) if is_prime(p)} | set(cids)):
         dec = artin.decompose(alg.reduce_mod_p(p))
         brute = is_monogenic_at_prime(alg, p, cap, form).monogenic_at_p
         fiber = artin.fiber_monogenic(dec)
-        crosscheck.append({"p": p, "brute": brute, "artin": fiber, "agree": brute == fiber})
+        if brute != fiber:
+            raise AssertionError(
+                f"brute force and Artin fiber verdicts differ at p={p}: {brute} != {fiber}"
+            )
+        crosscheck.append({"p": p, "brute": brute, "artin": fiber})
 
     notes = []
     status, witness, reason = "Unknown", None, None
@@ -239,20 +214,16 @@ def classify(
     elif cids:
         status = "NotMonogenic"
         reason = f"common index divisor {cids[0]}"
-    elif not geo["monogenic_over_geometric_points"]:
-        status = "NotMonogenic"
-        fiber = sorted(geo["vanishing_fiber_primes"])[0]
-        reason = f"index form vanishes on the fiber over {fiber}"
     else:
         notes.append(f"height {height} exhausted without a witness")
-        for p in local_obstruction_primes(form, obstruction_bound, cap):
+        for p in local_obstruction_primes(form, cap=cap):
             notes.append(f"local obstruction: values mod {p} never units")
 
     report = MonogenicityReport(
         label=alg.label,
         rank=alg.rank,
         global_status=status,
-        zariski_local=zariski,
+        zariski_local=not cids,
         common_index_divisors=cids,
         geometric=geo["monogenic_over_geometric_points"],
         vanishing_fibers=sorted(geo["vanishing_fiber_primes"]),

@@ -12,9 +12,27 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceeded, IdentityNotInBasis, MonogenError, NotIntegerBase
 from .algebra import StructureAlgebra
+from .exactring import SparsePoly
 from .indexform import IndexForm, index_form
 
 DEFAULT_ENUM_CAP = 10**7
+
+
+def scan(poly: SparsePoly, values, cap: int):
+    """Yield (v, poly(v)) for every v in values^m over the m variables poly uses.
+
+    The other coordinates of v stay 0, and points come in lexicographic
+    order.  Raises BudgetExceeded before the first evaluation when
+    len(values)^m exceeds cap.
+    """
+    used = poly.variables_used()
+    if len(values) ** len(used) > cap:
+        raise BudgetExceeded(f"{len(values)}^{len(used)} exceeds the enumeration cap {cap}")
+    for combo in itertools.product(values, repeat=len(used)):
+        v = [0] * poly.arity
+        for i, c in zip(used, combo):
+            v[i] = c
+        yield tuple(v), poly.evaluate(v)
 
 
 @dataclass(frozen=True)
@@ -51,27 +69,14 @@ def search_monogenerators(
     alg.require_valid()
     if form is None:
         form = index_form(alg)
-    n = alg.rank
-    used = form.form.variables_used()
-    m = len(used)
-    if (2 * height + 1) ** m > cap:
-        raise BudgetExceeded(
-            f"(2*{height}+1)^{m} exceeds the enumeration cap {cap}"
-        )
-    witnesses = []
     values = range(-height, height + 1)
-    for combo in itertools.product(values, repeat=m):
-        v = [0] * n
-        for i, c in zip(used, combo):
-            v[i] = c
-        if form.evaluate(v) in (1, -1):
-            witnesses.append(tuple(v))
+    witnesses = [v for v, value in scan(form.form, values, cap) if value in (1, -1)]
     ident = alg.identity_basis_index()
     classes = []
     if ident is not None:
         seen = set()
         for w in witnesses:
-            rep = affine_normalize(alg, w, form=form)
+            rep = affine_normalize(alg, w)
             if rep not in seen:
                 seen.add(rep)
                 classes.append(rep)
@@ -79,7 +84,7 @@ def search_monogenerators(
     return SearchResult(height, tuple(witnesses), tuple(classes), True)
 
 
-def affine_normalize(alg: StructureAlgebra, v, form: IndexForm | None = None):
+def affine_normalize(alg: StructureAlgebra, v):
     """Canonical representative of the orbit {u*v + t*e_k : u = +-1, t in Z}.
 
     Requires 1 to be a basis element (at index k).  The representative has

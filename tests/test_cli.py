@@ -83,6 +83,17 @@ class TestCommands:
         assert doc["common_index_divisors"] == [2]
         assert doc["zariski_local"] is False and doc["geometric"] is True
 
+    def test_classify_conductor_five_json(self, capsys, tmp_path):
+        # Z + 5*Z[cbrt 2]: 5 is a common index divisor although 5 >= n
+        doc = {"order": {"minpoly": [-2, 0, 0, 1], "basis": [[1, 0, 0], [0, 5, 0], [0, 0, 5]]}}
+        path = tmp_path / "conductor5.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "classify", str(path), "--json")
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert report["common_index_divisors"] == [5]
+        assert report["global"] == {"status": "NotMonogenic", "reason": "common index divisor 5"}
+
     def test_artin(self, capsys):
         code, out, _ = run(
             capsys, "artin", fixture_path("dedekind"), "--prime", "2", "--json"

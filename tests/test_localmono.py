@@ -1,7 +1,11 @@
 import pytest
+from hypothesis import given, settings, strategies as st
+from sympy import Poly, discriminant, primefactors, symbols
 
-from monogen.errors import BudgetExceeded, NotIntegerBase
-from monogen.algebra import split_algebra
+from monogen.errors import BudgetExceeded, NotIntegerBase, ZeroIndexForm
+from monogen import artin
+from monogen.algebra import OrderPresentation, StructureAlgebra, split_algebra
+from monogen.exactring import ZZ
 from monogen.indexform import check_monogenerator, index_form
 from monogen.localmono import (
     classify,
@@ -11,7 +15,13 @@ from monogen.localmono import (
     local_obstruction_primes,
     value_set_mod_p,
 )
-from conftest import dedekind_order, gaussian_order, random_algebra
+from conftest import dedekind_order, gaussian_order, random_algebra, random_unimodular
+
+
+def conductor_five_order():
+    """Z + 5*Z[cbrt 2]: its conductor 5 is a prime >= the rank."""
+    basis = [[1, 0, 0], [0, 5, 0], [0, 0, 5]]
+    return OrderPresentation([-2, 0, 0, 1], basis).to_algebra("Z + 5*Z[cbrt2]")
 
 
 class TestAtPrime:
@@ -60,6 +70,15 @@ class TestCommonIndexDivisors:
         for _ in range(10):
             alg = random_algebra(rng, max_rank=2)
             assert common_index_divisors(alg) == []
+
+    def test_zero_form_raises(self):
+        # Z[x, y]/(x, y)^2 has no generator even over Q, so every prime fails
+        one = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        x = [[0, 1, 0], [0, 0, 0], [0, 0, 0]]
+        y = [[0, 0, 1], [0, 0, 0], [0, 0, 0]]
+        alg = StructureAlgebra(ZZ, 3, [one, x, y], [1, 0, 0])
+        with pytest.raises(ZeroIndexForm):
+            common_index_divisors(alg)
 
     def test_primes_at_least_rank_never_fail(self, corpus_z):
         # empirical check of the p < n cutoff on the corpus
@@ -113,7 +132,13 @@ class TestClassify:
         assert r.reason == "common index divisor 2"
         assert not r.zariski_local
         assert r.geometric
-        assert all(c["agree"] for c in r.artin_crosscheck)
+        assert all(c["brute"] == c["artin"] for c in r.artin_crosscheck)
+
+    def test_oracle_disagreement_raises(self, monkeypatch):
+        real = artin.fiber_monogenic
+        monkeypatch.setattr(artin, "fiber_monogenic", lambda dec: real(dec) != (dec.prime == 3))
+        with pytest.raises(AssertionError, match="p=3"):
+            classify(dedekind_order(), 1)
 
     def test_gaussian_report(self):
         r = classify(gaussian_order(), 2)
@@ -140,13 +165,22 @@ class TestClassify:
     def test_implications_random(self, rng):
         for _ in range(100):
             alg = random_algebra(rng)
-            r = classify(alg, 1, artin_bound=3, obstruction_bound=5)
+            r = classify(alg, 1)
             if r.global_status == "Monogenic":
                 assert r.zariski_local
             if r.zariski_local:
                 assert r.geometric
             if r.witness is not None:
                 assert check_monogenerator(alg, r.witness)["is_monogenerator"]
+
+    def test_conductor_prime_at_least_rank(self):
+        # the fiber at 5 is F_5[x, y]/(x, y)^2, of tangent dimension 2
+        assert common_index_divisors(conductor_five_order()) == [5]
+        r = classify(conductor_five_order(), 2)
+        assert r.global_status == "NotMonogenic"
+        assert r.reason == "common index divisor 5"
+        assert r.common_index_divisors == [5]
+        assert {"p": 5, "brute": False, "artin": False} in r.artin_crosscheck
 
     def test_report_json_shape(self):
         d = classify(dedekind_order(), 5).to_json()
@@ -162,3 +196,35 @@ class TestClassify:
         ):
             assert key in d
         assert d["global"]["status"] == "NotMonogenic"
+
+
+@st.composite
+def conductor_orders(draw):
+    """(Z + m*Z[theta] in a random unimodular basis that keeps 1 first, m)."""
+    n = draw(st.integers(3, 4))
+    x = symbols("x")
+    f = draw(
+        st.lists(st.integers(-6, 6), min_size=n, max_size=n)
+        .map(lambda c: c + [1])
+        .filter(lambda c: discriminant(Poly(c[::-1], x)) != 0)
+    )
+    m = draw(st.integers(1, 15))
+    U = random_unimodular(draw(st.randoms(use_true_random=False)), n, fix_first_row=True)
+    scale = [1] + [m] * (n - 1)
+    basis = [[u * d for u, d in zip(row, scale)] for row in U]
+    return OrderPresentation(f, basis).to_algebra(f"Z + {m}*Z[theta]"), m
+
+
+class TestConductorProperty:
+    @settings(max_examples=25, deadline=None)
+    @given(conductor_orders())
+    def test_cids_are_primes_of_m(self, order):
+        alg, m = order
+        assert common_index_divisors(alg) == primefactors(m)
+        r = classify(alg, 1)
+        assert r.common_index_divisors == primefactors(m)
+        assert all(c["brute"] == c["artin"] for c in r.artin_crosscheck)
+        if r.global_status == "Monogenic":
+            assert r.zariski_local
+        if r.zariski_local:
+            assert r.geometric

@@ -2,9 +2,32 @@ import pytest
 
 from monogen.errors import BudgetExceeded, IdentityNotInBasis
 from monogen.algebra import power_basis_algebra, split_algebra
+from monogen.exactring import ZZ, SparsePoly
 from monogen.indexform import check_monogenerator
-from monogen.search import affine_normalize, search_monogenerators
+from monogen.search import affine_normalize, scan, search_monogenerators
 from conftest import gaussian_order
+
+
+def x0_squared_plus_x2():
+    """x0^2 + x2 in three variables; x1 is unused."""
+    x0, x2 = (SparsePoly.variable(ZZ, 3, i) for i in (0, 2))
+    return x0 * x0 + x2
+
+
+class TestScan:
+    def test_budget_before_first_evaluation(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(SparsePoly, "evaluate", lambda self, v: calls.append(v))
+        with pytest.raises(BudgetExceeded):
+            next(scan(x0_squared_plus_x2(), range(3), 8))
+        assert calls == []
+
+    def test_lexicographic_with_unused_at_zero(self):
+        points = list(scan(x0_squared_plus_x2(), range(-1, 2), 9))
+        assert [v for v, _ in points] == [(a, 0, c) for a in (-1, 0, 1) for c in (-1, 0, 1)]
+        assert [value for _, value in points] == [
+            a * a + c for a in (-1, 0, 1) for c in (-1, 0, 1)
+        ]
 
 
 class TestSearch:
