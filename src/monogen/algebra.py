@@ -152,14 +152,13 @@ class StructureAlgebra:
             raise NotIntegerBase("reduction mod p needs base Z")
         if not is_prime(p):
             raise MonogenError(f"{p} is not prime")
-        tgt = Fp(p)
-        return StructureAlgebra(
-            tgt,
-            self.rank,
-            self.constants,
-            self.identity,
-            label=f"{self.label} mod {p}",
+        reduced = StructureAlgebra(
+            Fp(p), self.rank, self.constants, self.identity, label=f"{self.label} mod {p}"
         )
+        # The ring axioms are integer identities in the structure constants,
+        # so they survive reduction mod p.
+        reduced._validated = self._validated
+        return reduced
 
     def change_basis(self, U) -> "StructureAlgebra":
         """New basis e'_i = sum_a U[i][a] e_a; U must be unimodular over Z."""

@@ -14,11 +14,13 @@ Element encodings per base ring:
 
 from __future__ import annotations
 
+from itertools import count
 from math import gcd
 
 from .errors import (
     ArityMismatch,
     BaseRingMismatch,
+    BudgetExceeded,
     InexactDivision,
     MonogenError,
     NonMonic,
@@ -30,20 +32,32 @@ from .errors import (
 # primality
 
 
+# The first 13 primes as Miller-Rabin bases decide primality for every
+# n below MR_BOUND (Sorenson and Webster, 2015).
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for n < 2^31 (bases 2,3,5,7)."""
+    """Deterministic Miller-Rabin with bases 2..41, valid for n < MR_BOUND.
+
+    Raises BudgetExceeded beyond that bound instead of guessing.
+    """
     if n < 2:
         return False
-    for q in (2, 3, 5, 7):
-        if n == q:
-            return True
+    for q in MR_BASES:
         if n % q == 0:
-            return False
+            return n == q
+    if n >= MR_BOUND:
+        raise BudgetExceeded(
+            f"the Miller-Rabin primality test is deterministic only below {MR_BOUND}; "
+            f"{n} is beyond it"
+        )
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7):
+    for a in MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -57,20 +71,77 @@ def is_prime(n: int) -> bool:
 
 
 def factor_int(n: int) -> dict:
-    """Trial-division factorization; returns {prime: exponent}. n may be negative."""
+    """Factorization {prime: exponent} of |n|.
+
+    Trial division by the primes below 1000, then perfect-power roots and
+    Pollard-Brent splitting of the cofactor.  Raises BudgetExceeded when a
+    cofactor that is not a perfect power lies beyond the primality test.
+    """
     n = abs(n)
     out = {}
     if n <= 1:
         return out
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    for q in (2, *range(3, 1000, 2)):  # a composite q never divides what is left
+        while n % q == 0:
+            out[q] = out.get(q, 0) + 1
+            n //= q
+    stack = [(n, 1)] if n > 1 else []
+    while stack:
+        m, e = stack.pop()
+        root, k = _perfect_power(m)
+        if k > 1:
+            stack.append((root, e * k))
+        elif is_prime(m):
+            out[m] = out.get(m, 0) + e
+        else:
+            d = _pollard_brent(m)
+            stack += [(d, e), (m // d, e)]
+    return dict(sorted(out.items()))
+
+
+def _iroot(n: int, k: int) -> int:
+    """Largest r with r^k <= n, by Newton's method from above."""
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
+def _perfect_power(m: int):
+    """(r, k) with m = r^k for some k > 1, else (m, 1); m has no prime below 1000."""
+    for k in range(2, m.bit_length() // 9 + 1):
+        r = _iroot(m, k)
+        if r**k == m:
+            return r, k
+    return m, 1
+
+
+def _pollard_brent(n: int) -> int:
+    """A proper divisor of an odd composite n (Brent's cycle finding, batched gcds)."""
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 # ---------------------------------------------------------------------------
@@ -438,11 +509,22 @@ class SparsePoly:
     # -- evaluation / reduction
 
     def evaluate(self, values):
-        """Substitute a base-ring element for each variable."""
+        """Substitute a base-ring element for each variable.
+
+        Over Z and F_p the sum is taken in plain ints and reduced mod p once.
+        """
         if len(values) != self.arity:
             raise ArityMismatch(f"expected {self.arity} values, got {len(values)}")
         base = self.base
         vals = [base.coerce(v) for v in values]
+        if not base.is_polynomial:
+            acc = 0
+            for exps, c in self.terms.items():
+                for v, e in zip(vals, exps):
+                    if e:
+                        c *= v**e
+                acc += c
+            return acc if base.p is None else acc % base.p
         acc = base.zero
         for exps, c in self.terms.items():
             t = c
@@ -451,6 +533,25 @@ class SparsePoly:
                     t = base.mul(t, v)
             acc = base.add(acc, t)
         return acc
+
+    def substitute_first(self, value) -> "SparsePoly":
+        """Set the first variable to value: a polynomial in the remaining ones."""
+        base = self.base
+        value = base.coerce(value)
+        terms = {}
+        if not base.is_polynomial:
+            for exps, c in self.terms.items():
+                rest = exps[1:]
+                terms[rest] = terms.get(rest, 0) + c * value ** exps[0]
+            if base.p is not None:
+                terms = {e: c % base.p for e, c in terms.items()}
+        else:
+            for exps, c in self.terms.items():
+                for _ in range(exps[0]):
+                    c = base.mul(c, value)
+                rest = exps[1:]
+                terms[rest] = base.add(terms[rest], c) if rest in terms else c
+        return SparsePoly(base, self.arity - 1, terms)
 
     def reduce_mod_p(self, p: int) -> "SparsePoly":
         """Map Z -> F_p or Z[t] -> F_p[t] coefficientwise."""

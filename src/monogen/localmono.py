@@ -14,7 +14,7 @@ from .exactring import content_primes, is_prime
 from .algebra import StructureAlgebra
 from .indexform import IndexForm, index_form
 from . import artin
-from .search import DEFAULT_ENUM_CAP, SearchResult, scan, search_monogenerators
+from .search import DEFAULT_ENUM_CAP, SearchResult, check_height, scan, search_monogenerators
 
 # classify cross-checks the two fiber oracles at every prime up to this
 # bound and at every common index divisor.
@@ -187,6 +187,7 @@ def classify(
 ) -> MonogenicityReport:
     """Aggregate every verdict for an integer algebra."""
     _require_z(alg)
+    check_height(height)
     alg.require_valid()
     form = index_form(alg)
     geo = geometric_point_verdict(alg, form)

@@ -7,7 +7,6 @@ for u = +-1 and t an integer multiple of 1.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, IdentityNotInBasis, MonogenError, NotIntegerBase
@@ -23,16 +22,32 @@ def scan(poly: SparsePoly, values, cap: int):
 
     The other coordinates of v stay 0, and points come in lexicographic
     order.  Raises BudgetExceeded before the first evaluation when
-    len(values)^m exceeds cap.
+    len(values)^m exceeds cap.  The scan walks lines: each prefix of outer
+    coordinates is substituted once, and each point then evaluates a
+    univariate polynomial in the last used variable.
     """
     used = poly.variables_used()
     if len(values) ** len(used) > cap:
         raise BudgetExceeded(f"{len(values)}^{len(used)} exceeds the enumeration cap {cap}")
-    for combo in itertools.product(values, repeat=len(used)):
-        v = [0] * poly.arity
-        for i, c in zip(used, combo):
-            v[i] = c
-        yield tuple(v), poly.evaluate(v)
+    point = [0] * poly.arity
+    if not used:
+        yield tuple(point), poly.evaluate(point)
+        return
+    on_used = SparsePoly(
+        poly.base, len(used), {tuple(e[i] for i in used): c for e, c in poly.terms.items()}
+    )
+    yield from _lines(on_used, used, values, point)
+
+
+def _lines(poly: SparsePoly, used, values, point):
+    """Scan values^len(used); poly is in the coordinates ``used`` of point."""
+    i = used[0]
+    for x in values:
+        point[i] = x
+        if len(used) == 1:
+            yield tuple(point), poly.evaluate([x])
+        else:
+            yield from _lines(poly.substitute_first(x), used[1:], values, point)
 
 
 @dataclass(frozen=True)
@@ -64,8 +79,7 @@ def search_monogenerators(
     """
     if alg.base.kind != "Z":
         raise NotIntegerBase("monogenerator search needs base Z")
-    if height < 0:
-        raise MonogenError(f"search height must be >= 0, got {height}")
+    check_height(height)
     alg.require_valid()
     if form is None:
         form = index_form(alg)
@@ -82,6 +96,12 @@ def search_monogenerators(
                 classes.append(rep)
         classes.sort()
     return SearchResult(height, tuple(witnesses), tuple(classes), True)
+
+
+def check_height(height: int):
+    """Reject a negative search height before any work is done."""
+    if height < 0:
+        raise MonogenError(f"search height must be >= 0, got {height}")
 
 
 def affine_normalize(alg: StructureAlgebra, v):

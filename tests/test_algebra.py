@@ -90,6 +90,26 @@ class TestReduceModP:
         with pytest.raises(NotIntegerBase):
             gaussian_order().reduce_mod_p(3).reduce_mod_p(3)
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_reductions_of_valid_algebras_are_valid(self, corpus_z, p):
+        algebras = [a for _, a, _ in corpus_z] + [split_algebra(n) for n in range(2, 5)]
+        for alg in algebras:
+            assert alg.validate() == []
+            assert alg.reduce_mod_p(p).validate() == [], (alg.label, p)
+
+    def test_reduction_inherits_validation(self, monkeypatch):
+        validated = gaussian_order()  # to_algebra validates
+        fresh = StructureAlgebra(ZZ, 2, validated.constants, validated.identity, label="Z[i]")
+        calls = []
+        original = StructureAlgebra.validate
+        monkeypatch.setattr(
+            StructureAlgebra, "validate", lambda self: calls.append(self.label) or original(self)
+        )
+        validated.reduce_mod_p(3).require_valid()
+        assert calls == []
+        fresh.reduce_mod_p(3).require_valid()
+        assert calls == ["Z[i] mod 3"]
+
 
 class TestChangeBasis:
     def test_identity_matrix_is_noop(self):

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from monogen import localmono
 from monogen.cli import main
 from monogen.fixtures import corpus_dir, parse_input
 from monogen.errors import NotClosedUnderMultiplication, ParseError
@@ -150,6 +151,29 @@ class TestCommands:
         code, out, err = run(capsys, command, fixture_path("gaussian_integers"), "--height", "-1")
         assert code == 1 and out == ""
         assert "height" in err
+
+    def test_classify_negative_height_before_any_work(self, capsys, monkeypatch):
+        def no_index_form(alg):
+            raise AssertionError("index_form called before the height was checked")
+
+        monkeypatch.setattr(localmono, "index_form", no_index_form)
+        code, out, err = run(
+            capsys, "classify", fixture_path("dedekind"), "--height", "-1", "--json"
+        )
+        assert code == 1 and out == ""
+        assert "search height must be >= 0, got -1" in err
+
+    def test_classify_content_cube_of_large_prime(self, capsys, tmp_path):
+        # Z + p*Z[2^(1/4)], p = 10^9 + 7: the index form has content p^3
+        p = 10**9 + 7
+        basis = [[1, 0, 0, 0], [0, p, 0, 0], [0, 0, p, 0], [0, 0, 0, p]]
+        path = tmp_path / "conductor_large.json"
+        path.write_text(json.dumps({"order": {"minpoly": [-2, 0, 0, 0, 1], "basis": basis}}))
+        code, out, err = run(capsys, "classify", str(path), "--height", "1", "--json")
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert report["common_index_divisors"] == [p]
+        assert report["global"] == {"status": "NotMonogenic", "reason": f"common index divisor {p}"}
 
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as exc:

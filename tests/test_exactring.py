@@ -1,12 +1,16 @@
 import random
+from math import prod
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from monogen.algebra import split_algebra
 from monogen.errors import (
     ArityMismatch,
     BaseRingMismatch,
+    BudgetExceeded,
+    MonogenError,
     NonMonic,
     NonSquare,
     ZeroPolynomial,
@@ -19,8 +23,10 @@ from monogen.exactring import (
     ZZ,
     berlekamp_factor,
     content_primes,
+    MR_BOUND,
     determinant,
     discriminant_unipoly,
+    factor_int,
     fp_kernel,
     fp_rref,
     int_determinant,
@@ -373,6 +379,94 @@ class TestDiscriminant:
             assert discriminant_unipoly(coeffs) == sympy.discriminant(expr, x)
 
 
+def _reference_value(poly, values):
+    """Term-by-term value of a Z or F_p polynomial: one product per monomial."""
+    total = sum(c * prod(x**e for x, e in zip(values, exps)) for exps, c in poly.terms.items())
+    return total if poly.base.p is None else total % poly.base.p
+
+
+@st.composite
+def int_polys(draw, max_arity=4):
+    """A Z or F_p polynomial (p in 2, 3, 5, 7) and a point to evaluate it at."""
+    base = draw(st.sampled_from([ZZ, Fp(2), Fp(3), Fp(5), Fp(7)]))
+    arity = draw(st.integers(1, max_arity))
+    exps = st.tuples(*[st.integers(0, 4)] * arity)
+    terms = draw(st.dictionaries(exps, st.integers(-50, 50), max_size=8))
+    poly = SparsePoly(base, arity, {e: base.coerce(c) for e, c in terms.items()})
+    point = draw(st.lists(st.integers(-9, 9), min_size=arity, max_size=arity))
+    return poly, point
+
+
+class TestEvaluate:
+    @settings(max_examples=200, deadline=None)
+    @given(int_polys())
+    def test_int_path_matches_term_by_term(self, case):
+        poly, point = case
+        assert poly.evaluate(point) == _reference_value(poly, point)
+
+    def test_fp_value_is_reduced(self):
+        f = SparsePoly(Fp(5), 2, {(3, 0): 4, (1, 1): 2, (0, 0): 1})
+        assert f.evaluate([-7, 12]) == (4 * (-7) ** 3 + 2 * -7 * 12 + 1) % 5
+
+    def test_non_integer_value_rejected(self):
+        with pytest.raises(MonogenError):
+            v(0).evaluate([1.5, 0, 0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(int_polys(), st.integers(-9, 9))
+    def test_substitute_first(self, case, x):
+        poly, point = case
+        if poly.arity == 1:
+            return
+        rest = poly.substitute_first(x)
+        assert rest.arity == poly.arity - 1 and rest.base == poly.base
+        assert rest.evaluate(point[1:]) == poly.evaluate([x, *point[1:]])
+        if poly.base.p is not None:
+            assert all(0 < c < poly.base.p for c in rest.terms.values())
+
+    def test_substitute_first_zx(self):
+        t = SparsePoly.constant(ZX, 2, (0, 1))
+        f = t * v(0, 2, ZX) * v(0, 2, ZX) + v(0, 2, ZX) * v(1, 2, ZX)
+        assert f.substitute_first((1, 1)) == SparsePoly(
+            ZX, 1, {(0,): (0, 1, 2, 1), (1,): (1, 1)}
+        )
+
+
+class TestFactorInt:
+    def test_small_values_against_sympy(self):
+        for n in range(-30, 3000):
+            assert factor_int(n) == (sympy.factorint(abs(n)) if abs(n) > 1 else {})
+
+    def test_random_prime_products_against_sympy(self):
+        # Products of primes up to 10^12.  Pollard-Brent needs about the
+        # square root of the second-largest prime in steps, so that one is
+        # kept below 10^9 to bound the test's run time.
+        rng = random.Random(7)
+        done = 0
+        while done < 150:
+            primes = sorted(
+                sympy.randprime(2, 10 ** rng.randint(1, 12)) for _ in range(rng.randint(1, 4))
+            )
+            n = prod(primes)
+            if n >= MR_BOUND or (len(primes) > 1 and primes[-2] > 10**9):
+                continue
+            assert factor_int(n) == sympy.factorint(n), primes
+            done += 1
+
+    def test_cube_of_large_prime(self):
+        # 1.0e27 lies beyond the primality test; the cube root is found first
+        assert factor_int((10**9 + 7) ** 3) == {10**9 + 7: 3}
+
+    def test_mixed_powers(self):
+        n = 2**10 * 3 * 1009**3 * (10**6 + 3) ** 2
+        assert factor_int(-n) == {2: 10, 3: 1, 1009: 3, 10**6 + 3: 2}
+
+    def test_untestable_cofactor_raises(self):
+        # about 10^33 and not a perfect power: no deterministic primality test
+        with pytest.raises(BudgetExceeded, match="primality test"):
+            factor_int(1009**7 * (10**6 + 3) ** 2)
+
+
 class TestPrimality:
     def test_small_values(self):
         primes = {2, 3, 5, 7, 11, 13, 17, 19, 23}
@@ -383,3 +477,19 @@ class TestPrimality:
         assert not is_prime(561)
         assert not is_prime(1729)
         assert is_prime(2**31 - 1)
+
+    def test_strong_pseudoprimes(self):
+        # strong pseudoprimes to bases 2, 3, 5, 7 and to bases 2..23
+        assert not is_prime(3215031751)
+        assert not is_prime(3825123056546413051)
+
+    def test_against_sympy(self):
+        rng = random.Random(11)
+        for n in list(range(2000)) + [rng.randrange(MR_BOUND) for _ in range(300)]:
+            assert is_prime(n) == sympy.isprime(n), n
+        assert is_prime(sympy.prevprime(MR_BOUND))
+
+    def test_beyond_bound_raises(self):
+        with pytest.raises(BudgetExceeded, match="primality test"):
+            is_prime(sympy.nextprime(MR_BOUND))
+        assert not is_prime(2 * MR_BOUND)  # an even number needs no test

@@ -1,8 +1,11 @@
+from itertools import product
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from monogen.errors import BudgetExceeded, IdentityNotInBasis
 from monogen.algebra import power_basis_algebra, split_algebra
-from monogen.exactring import ZZ, SparsePoly
+from monogen.exactring import ZZ, Fp, SparsePoly
 from monogen.indexform import check_monogenerator
 from monogen.search import affine_normalize, scan, search_monogenerators
 from conftest import gaussian_order
@@ -28,6 +31,76 @@ class TestScan:
         assert [value for _, value in points] == [
             a * a + c for a in (-1, 0, 1) for c in (-1, 0, 1)
         ]
+
+
+def naive_scan(poly, values):
+    """The reference scan: the whole polynomial evaluated at every point."""
+    used = poly.variables_used()
+    points = []
+    for combo in product(values, repeat=len(used)):
+        v = [0] * poly.arity
+        for i, c in zip(used, combo):
+            v[i] = c
+        points.append((tuple(v), poly.evaluate(v)))
+    return points
+
+
+@st.composite
+def scan_cases(draw):
+    """A Z or F_p polynomial, some of whose variables may be unused, and a value range."""
+    base = draw(st.sampled_from([ZZ, Fp(2), Fp(3), Fp(5), Fp(7)]))
+    arity = draw(st.integers(1, 5))
+    live = draw(st.lists(st.booleans(), min_size=arity, max_size=arity))
+    exps = st.tuples(*[st.integers(0, 3) if on else st.just(0) for on in live])
+    terms = draw(st.dictionaries(exps, st.integers(-20, 20), max_size=6))
+    poly = SparsePoly(base, arity, {e: base.coerce(c) for e, c in terms.items()})
+    start = draw(st.integers(-3, 3))
+    values = range(start, start + draw(st.integers(0, 4)))
+    return poly, values
+
+
+def counting_evaluate(monkeypatch):
+    calls = []
+    original = SparsePoly.evaluate
+
+    def evaluate(self, v):
+        calls.append(tuple(v))
+        return original(self, v)
+
+    monkeypatch.setattr(SparsePoly, "evaluate", evaluate)
+    return calls
+
+
+class TestLineScan:
+    @settings(max_examples=300, deadline=None)
+    @given(scan_cases())
+    @example((SparsePoly.zero(ZZ, 3), range(-2, 1)))
+    @example((SparsePoly.constant(Fp(5), 2, 7), range(1, 4)))
+    @example((SparsePoly.constant(ZZ, 2, -4), range(0)))
+    @example((SparsePoly(ZZ, 4, {(2, 0, 0, 1): 3, (0, 0, 0, 2): -1, (1, 0, 0, 0): 5}), range(-1, 3)))
+    @example((SparsePoly(Fp(3), 5, {(0, 2, 0, 1, 0): 2, (0, 0, 0, 0, 0): 1}), range(2, 6)))
+    def test_matches_naive_reference(self, case):
+        poly, values = case
+        cap = max(1, len(values)) ** poly.arity
+        assert list(scan(poly, values, cap)) == naive_scan(poly, values)
+
+    def test_first_point_makes_one_evaluation(self, monkeypatch):
+        calls = counting_evaluate(monkeypatch)
+        poly = x0_squared_plus_x2() * x0_squared_plus_x2()
+        assert next(scan(poly, range(-3, 4), 49)) == ((-3, 0, -3), 36)
+        assert len(calls) == 1
+
+    def test_one_evaluation_per_point(self, monkeypatch):
+        calls = counting_evaluate(monkeypatch)
+        points = list(scan(x0_squared_plus_x2(), range(4), 16))
+        assert len(calls) == len(points) == 16
+
+    def test_stops_at_first_nonzero_value(self, monkeypatch):
+        # is_monogenic_at_prime stops at the first nonzero value
+        calls = counting_evaluate(monkeypatch)
+        poly = SparsePoly(Fp(7), 3, {(1, 0, 1): 1})
+        first = next((v for v, value in scan(poly, range(7), 7**3) if value), None)
+        assert first == (1, 0, 1) and len(calls) == 7 + 2
 
 
 class TestSearch:
