@@ -1,14 +1,13 @@
 """Structure theory of finite-dimensional commutative algebras over F_p.
 
-Computes the nilradical, splits the algebra into local factors by lifting
-idempotents from the etale quotient, and applies the tangent-dimension
-and point-counting criteria for fiber monogenicity.  Serves as an oracle
+Computes the nilradical, splits the algebra into local factors through
+its Frobenius-fixed subalgebra, and applies the tangent-dimension and
+point-counting criteria for fiber monogenicity.  Serves as an oracle
 independent of brute-force index-form enumeration.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .errors import InvalidAlgebra, SplitFailure
@@ -17,28 +16,13 @@ from .exactring import (
     berlekamp_factor,
     fp_kernel,
     fp_rref,
-    is_irreducible,
     necklace_count,
 )
 from .algebra import StructureAlgebra
 
-SPLIT_SEED = 0x5EED
-SPLIT_TRY_CAP = 200
-LIFT_ITER_CAP = 64
-
 
 # ---------------------------------------------------------------------------
 # linear algebra over F_p
-
-
-def reduce_vector(v, rows, pivots, p):
-    """Eliminate pivot coordinates of v against a row-reduced basis."""
-    v = [x % p for x in v]
-    for row, col in zip(rows, pivots):
-        c = v[col]
-        if c:
-            v = [(a - c * b) % p for a, b in zip(v, row)]
-    return tuple(v)
 
 
 def solve_linear(columns, target, p):
@@ -134,182 +118,70 @@ def _vec_pow(alg, v, k):
 # decomposition
 
 
-class _Quotient:
-    """The etale quotient A/N with explicit lift/project maps."""
+def _primitive_idempotents(alg):
+    """The primitive idempotents, split off by one Frobenius-fixed element at a time.
 
-    def __init__(self, alg, nil_rows, nil_pivots):
-        self.alg = alg
-        self.p = alg.base.p
-        self.nil_rows = nil_rows
-        self.nil_pivots = nil_pivots
-        pivot_set = set(nil_pivots)
-        self.coords = [i for i in range(alg.rank) if i not in pivot_set]
-        self.dim = len(self.coords)
-
-    def project(self, v):
-        red = reduce_vector(v, self.nil_rows, self.nil_pivots, self.p)
-        return tuple(red[i] for i in self.coords)
-
-    def lift(self, q):
-        v = [0] * self.alg.rank
-        for c, i in zip(q, self.coords):
-            v[i] = c
-        return tuple(v)
-
-    def mul(self, a, b):
-        return self.project(self.alg.vec_mul(self.lift(a), self.lift(b)))
-
-    def scale_add(self, coeffs, vectors):
-        out = [0] * self.dim
-        for c, v in zip(coeffs, vectors):
-            for i in range(self.dim):
-                out[i] = (out[i] + c * v[i]) % self.p
-        return tuple(out)
-
-    @property
-    def one(self):
-        return self.project(self.alg.identity)
-
-
-def _minpoly_in_piece(Q, ident, z):
-    """Minimal polynomial of z in the unital piece with identity ident."""
-    p = Q.p
-    powers = [ident]
-    cur = ident
-    while True:
-        cur = Q.mul(cur, z)
-        sol = solve_linear(powers, cur, p)
-        if sol is not None:
-            coeffs = [(-c) % p for c in sol] + [1]
-            return UniPolyFp(p, coeffs), powers
-        powers.append(cur)
-
-
-def _poly_at(Q, ident, z, poly: UniPolyFp):
-    acc = tuple(0 for _ in range(Q.dim))
-    power = ident
-    for c in poly.coeffs:
-        if c:
-            acc = Q.scale_add([1, c], [acc, power])
-        power = Q.mul(power, z)
-    return acc
-
-
-def _split_etale(Q, rng):
-    """Orthogonal idempotents of the etale quotient, one per field factor.
-
-    Returns a list of (idempotent, residue_degree).
+    Frobenius x -> x^p is F_p-linear, and its fixed points are exactly the
+    F_p-span of the primitive idempotents (Berlekamp's subalgebra), so its
+    dimension r is the number of local factors.
     """
-    p = Q.p
-    done = []
-    work = [Q.one]
-    tries = 0
-    while work:
-        ident = work.pop()
-        basis, _ = fp_rref([Q.mul(ident, b) for b in _quotient_basis(Q)], p)
-        d = len(basis)
-        split = False
-        for z in _candidate_elements(Q, basis, rng):
-            tries += 1
-            if tries > SPLIT_TRY_CAP:
-                raise SplitFailure("iteration cap hit while splitting etale algebra")
-            m, _ = _minpoly_in_piece(Q, ident, z)
-            if m.degree == d and is_irreducible(m):
-                done.append((ident, d))
-                split = True
-                break
-            factors = berlekamp_factor(m)
-            if len(factors) > 1:
-                g = factors[0][0]
-                h = m.exact_div(g)
-                u, v = _poly_xgcd_pair(g, h)
-                # epsilon = v(z) h(z) acts as ident on the g-component
-                eps = Q.mul(_poly_at(Q, ident, z, v), _poly_at(Q, ident, z, h))
-                other = Q.scale_add([1, p - 1], [ident, eps])
-                work.append(eps)
-                work.append(other)
-                split = True
-                break
-        if not split:
-            raise SplitFailure("no splitting element found")
-    return done
+    p, n = alg.base.p, alg.rank
+    frob = [_vec_pow(alg, alg.basis_vector(i), p) for i in range(n)]
+    fixed = fp_kernel([[(frob[j][i] - (i == j)) % p for j in range(n)] for i in range(n)], p)
+    idempotents = [alg.identity]
+    for b in fixed:
+        if len(idempotents) == len(fixed):
+            break
+        idempotents = [d for e in idempotents for d in _split(alg, e, b)]
+    return idempotents
 
 
-def _quotient_basis(Q):
-    out = []
-    for i in range(Q.dim):
-        v = [0] * Q.dim
-        v[i] = 1
-        out.append(tuple(v))
-    return out
+def _split(alg, e, b):
+    """Projectors of e*A onto the eigenspaces of b*e.
 
-
-def _candidate_elements(Q, basis, rng):
-    for b in basis:
-        yield b
-    for _ in range(40):
-        coeffs = [rng.randrange(Q.p) for _ in basis]
-        yield Q.scale_add(coeffs, basis)
-
-
-def _poly_xgcd_pair(g: UniPolyFp, h: UniPolyFp):
-    """(u, v) with u*g + v*h = 1 for coprime g, h."""
-    p = g.p
-    r0, r1 = g, h
-    u0, u1 = UniPolyFp(p, (1,)), UniPolyFp(p, ())
-    v0, v1 = UniPolyFp(p, ()), UniPolyFp(p, (1,))
-    while not r1.is_zero:
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    # r0 is a unit constant
-    inv = pow(r0.coeffs[0], p - 2, p)
-    scale = UniPolyFp(p, (inv,))
-    return u0 * scale, v0 * scale
-
-
-def _lift_idempotent(alg, e0, p):
-    """Iterate e <- 3e^2 - 2e^3 until idempotent; valid in any characteristic."""
-    e = e0
-    for _ in range(LIFT_ITER_CAP):
-        sq = alg.vec_mul(e, e)
-        if sq == e:
-            return e
-        cube = alg.vec_mul(sq, e)
-        e = tuple((3 * a - 2 * b) % p for a, b in zip(sq, cube))
-    raise SplitFailure("idempotent lifting did not converge")
+    b is a combination of primitive idempotents, so its minimal polynomial
+    in e*A has distinct roots in F_p, and the Lagrange polynomial at each
+    root, evaluated at b*e, is the projector onto that root's eigenspace.
+    """
+    p = alg.base.p
+    be = alg.vec_mul(b, e)
+    powers, cur = [e], be
+    while (sol := solve_linear(powers, cur, p)) is None:
+        powers.append(cur)
+        cur = alg.vec_mul(cur, be)
+    minpoly = UniPolyFp(p, [-c for c in sol] + [1])
+    roots = [-g.coeffs[0] % p for g, _ in berlekamp_factor(minpoly)]
+    projectors = []
+    for c in roots:
+        proj = e
+        for d in roots:
+            if d != c:
+                inv = pow(c - d, p - 2, p)
+                proj = alg.vec_mul(proj, tuple((x - d * y) * inv % p for x, y in zip(be, e)))
+        projectors.append(proj)
+    return projectors
 
 
 def decompose(alg: StructureAlgebra) -> ArtinDecomposition:
     """Split an F_p-algebra into local Artinian factors.
 
-    Deterministic: candidate splitting elements are basis vectors first,
-    then pseudo-random with a fixed seed.
+    Deterministic: primitive idempotents are unique, and the factors are
+    sorted by (dimension, residue degree, tangent dimension, idempotent).
     """
     alg.require_valid()
     if alg.base.kind != "Fp":
         raise InvalidAlgebra("decomposition needs base F_p")
     p, n = alg.base.p, alg.rank
     nil_rows = nilradical(alg)
-    nil_pivots = [row.index(1) for row in nil_rows]  # each RREF row leads with 1
-    Q = _Quotient(alg, nil_rows, nil_pivots)
-    rng = random.Random(SPLIT_SEED)
-    pieces = _split_etale(Q, rng)
-
     results = []
-    for qbar, f in pieces:
-        e = _lift_idempotent(alg, Q.lift(qbar), p)
+    for e in _primitive_idempotents(alg):
         fac_vectors = [alg.vec_mul(e, alg.basis_vector(j)) for j in range(n)]
         dim = len(fp_rref(fac_vectors, p)[0])
         # maximal ideal = e * N
         m_vectors = [alg.vec_mul(e, v) for v in nil_rows]
         m_basis, _ = fp_rref(m_vectors, p)
         m_dim = len(m_basis)
-        if dim - m_dim != f:
-            raise SplitFailure(
-                f"residue degree mismatch: dim {dim}, nil {m_dim}, expected f {f}"
-            )
+        f = dim - m_dim
         m_sq = [alg.vec_mul(a, b) for a in m_basis for b in m_basis]
         m_sq_basis, _ = fp_rref(m_sq, p)
         tangent = (m_dim - len(m_sq_basis)) // f
@@ -333,7 +205,7 @@ def _check_decomposition(alg, factors, idempotents):
     total = [0] * alg.rank
     for i, e in enumerate(idempotents):
         if alg.vec_mul(e, e) != e:
-            raise SplitFailure("lifted element is not idempotent")
+            raise SplitFailure("element is not idempotent")
         for j, e2 in enumerate(idempotents):
             if i < j and any(alg.vec_mul(e, e2)):
                 raise SplitFailure("idempotents are not orthogonal")

@@ -36,6 +36,9 @@ from .errors import (
 # n below MR_BOUND (Sorenson and Webster, 2015).
 MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MR_BOUND = 3317044064679887385961981
+# Longest cycle Pollard-Brent tries on a cofactor beyond MR_BOUND.  A prime
+# factor q takes about sqrt(q) steps, so factors up to about 10^10 are found.
+POLLARD_BRENT_BUDGET = 1 << 18
 
 
 def is_prime(n: int) -> bool:
@@ -74,8 +77,9 @@ def factor_int(n: int) -> dict:
     """Factorization {prime: exponent} of |n|.
 
     Trial division by the primes below 1000, then perfect-power roots and
-    Pollard-Brent splitting of the cofactor.  Raises BudgetExceeded when a
-    cofactor that is not a perfect power lies beyond the primality test.
+    Pollard-Brent splitting of the cofactor.  On a cofactor beyond the
+    primality test, Pollard-Brent runs within POLLARD_BRENT_BUDGET and then
+    raises BudgetExceeded.
     """
     n = abs(n)
     out = {}
@@ -91,10 +95,10 @@ def factor_int(n: int) -> dict:
         root, k = _perfect_power(m)
         if k > 1:
             stack.append((root, e * k))
-        elif is_prime(m):
+        elif m < MR_BOUND and is_prime(m):
             out[m] = out.get(m, 0) + e
         else:
-            d = _pollard_brent(m)
+            d = _pollard_brent(m, POLLARD_BRENT_BUDGET if m >= MR_BOUND else None)
             stack += [(d, e), (m // d, e)]
     return dict(sorted(out.items()))
 
@@ -118,11 +122,20 @@ def _perfect_power(m: int):
     return m, 1
 
 
-def _pollard_brent(n: int) -> int:
-    """A proper divisor of an odd composite n (Brent's cycle finding, batched gcds)."""
+def _pollard_brent(n: int, budget: int | None = None) -> int:
+    """A proper divisor of an odd composite n (Brent's cycle finding, batched gcds).
+
+    With a budget, n may be prime: the search gives up with BudgetExceeded
+    once a cycle-length guess passes the budget.
+    """
     for c in count(1):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
+            if budget is not None and r > budget:
+                raise BudgetExceeded(
+                    f"Pollard-Brent found no factor of {n} with cycles up to {budget}, and the "
+                    f"Miller-Rabin primality test is deterministic only below {MR_BOUND}"
+                )
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -200,8 +213,8 @@ class BaseRing:
         if kind not in self.KINDS:
             raise MonogenError(f"unknown base ring kind {kind!r}")
         if kind in ("Fp", "FpX"):
-            if p is None or p >= 2**31 or not is_prime(p):
-                raise MonogenError(f"modulus {p!r} is not a prime < 2^31")
+            if not isinstance(p, int) or not is_prime(p):
+                raise MonogenError(f"modulus {p!r} is not a prime")
         else:
             p = None
         self.kind = kind
@@ -779,7 +792,11 @@ class UniPolyFp:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def _wrap(self, coeffs):
-        return UniPolyFp(self.p, coeffs)
+        """A polynomial over the same F_p, without testing p for primality again."""
+        out = UniPolyFp.__new__(UniPolyFp)
+        out.p = self.p
+        out.coeffs = _tup_trim(c % self.p for c in coeffs)
+        return out
 
     def __eq__(self, other):
         return (
@@ -897,10 +914,12 @@ def _squarefree_decomposition(f: UniPolyFp):
         recurse(c, outer)  # remaining part is a p-th power
 
     recurse(f.monic(), 1)
-    merged = {}
-    for g, m in out.items():
-        merged[g] = merged.get(g, 0) + m
-    return list(merged.items())
+    return list(out.items())
+
+
+# Berlekamp splits a factor u by gcd(u, v - c) for c = 0, 1, ...; over a
+# large F_p that walk gives up after this many constants.
+BERLEKAMP_SCAN_CAP = 10**7
 
 
 def _berlekamp_squarefree(f: UniPolyFp):
@@ -940,7 +959,12 @@ def _berlekamp_squarefree(f: UniPolyFp):
             for c in range(p):
                 if rest.degree < 1:
                     break
-                g = rest.gcd(vp - UniPolyFp(p, (c,)))
+                if c == BERLEKAMP_SCAN_CAP:
+                    raise BudgetExceeded(
+                        f"Berlekamp splitting over F_{p} tried {c} constants without "
+                        f"separating the factors"
+                    )
+                g = rest.gcd(vp - vp._wrap((c,)))
                 if 1 <= g.degree:
                     pieces.append(g)
                     rest = rest.exact_div(g)
@@ -967,23 +991,6 @@ def berlekamp_factor(f: UniPolyFp):
             irr = irr.monic()
             out[irr] = out.get(irr, 0) + mult
     return sorted(out.items(), key=lambda kv: kv[0].sort_key())
-
-
-def is_irreducible(f: UniPolyFp) -> bool:
-    """Rabin test: f monic of degree d is irreducible iff x^(p^d) = x mod f
-    and gcd(x^(p^(d/q)) - x, f) = 1 for prime q | d."""
-    d = f.degree
-    if d <= 0:
-        return False
-    if d == 1:
-        return True
-    p = f.p
-    x = UniPolyFp(p, (0, 1))
-    for q in factor_int(d):
-        h = x.pow_mod(p ** (d // q), f) - x
-        if f.gcd(h).degree != 0:
-            return False
-    return x.pow_mod(p**d, f) == x % f
 
 
 # ---------------------------------------------------------------------------

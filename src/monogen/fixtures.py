@@ -67,11 +67,6 @@ def load_fixture(path):
     return alg, doc.get("expected", {})
 
 
-def corpus_algebras():
-    """All corpus algebras, sorted by fixture name."""
-    return [load_fixture(p)[0] for p in corpus_files()]
-
-
 def run_corpus(cap: int = 10**7):
     """Replay every expectation in the corpus; returns result rows."""
     rows = []

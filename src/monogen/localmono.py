@@ -15,6 +15,7 @@ from .algebra import StructureAlgebra
 from .indexform import IndexForm, index_form
 from . import artin
 from .search import DEFAULT_ENUM_CAP, SearchResult, check_height, scan, search_monogenerators
+from .twisted import base_Z_twisted_note
 
 # classify cross-checks the two fiber oracles at every prime up to this
 # bound and at every common index divisor.
@@ -236,8 +237,6 @@ def classify(
         notes=notes,
     )
     _assert_implications(report)
-    from .twisted import base_Z_twisted_note
-
     base_Z_twisted_note(report)
     return report
 

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from sympy import GF
+from sympy import GF, Poly, Symbol
 from sympy.polys.matrices import DomainMatrix
 
 from monogen.algebra import (
@@ -96,6 +96,11 @@ def random_fp_matrix(rng, p, max_dim=6):
         [sum(rng.randrange(p) * b[j] for b in spanning) % p for j in range(ncols)]
         for _ in range(nrows)
     ]
+
+
+def sympy_irreducible(p, coeffs):
+    """Whether the polynomial with these coefficients (constant first) is irreducible over F_p."""
+    return Poly(list(coeffs)[::-1], Symbol("x"), modulus=p).is_irreducible
 
 
 def sympy_gf_matrix(rows, p, ncols=None):

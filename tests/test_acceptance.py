@@ -13,7 +13,7 @@ import time
 
 from monogen.algebra import split_algebra
 from monogen.artin import decompose, fiber_monogenic
-from monogen.exactring import SparsePoly, UniPolyFp, ZZ, Fp, is_irreducible, necklace_count
+from monogen.exactring import SparsePoly, ZZ, Fp, necklace_count
 from monogen.indexform import index_form
 from monogen.localmono import (
     classify,
@@ -24,7 +24,7 @@ from monogen.localmono import (
 )
 from monogen.search import search_monogenerators
 from monogen.twisted import curve_twisted_constraint
-from conftest import dedekind_order, random_algebra
+from conftest import dedekind_order, random_algebra, sympy_irreducible
 from test_indexform import _charpoly, difference_product
 from monogen.exactring import discriminant_unipoly
 
@@ -194,7 +194,7 @@ def test_criterion_09():
             brute = sum(
                 1
                 for lower in itertools.product(range(p), repeat=f)
-                if is_irreducible(UniPolyFp(p, list(lower) + [1]))
+                if sympy_irreducible(p, list(lower) + [1])
             )
             assert necklace_count(p, f) == brute, (p, f)
 

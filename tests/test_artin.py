@@ -2,8 +2,11 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from sympy import Poly, Symbol
 
-from monogen.algebra import StructureAlgebra, power_basis_algebra, split_algebra
+from monogen import artin
+from monogen.algebra import OrderPresentation, StructureAlgebra, power_basis_algebra, split_algebra
 from monogen.exactring import Fp
 from monogen.artin import (
     LocalFactor,
@@ -14,7 +17,15 @@ from monogen.artin import (
     solve_linear,
 )
 from monogen.localmono import is_monogenic_at_prime
-from conftest import dedekind_order, gaussian_order, random_algebra, sympy_gf_matrix
+from conftest import (
+    dedekind_order,
+    gaussian_order,
+    random_algebra,
+    random_unimodular,
+    sympy_gf_matrix,
+)
+
+PRIMES_TO_31 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
 
 def fp_quotient(p, coeffs):
@@ -128,6 +139,103 @@ class TestDecompose:
         a = json.dumps(decompose(alg).to_json(), sort_keys=True)
         b = json.dumps(decompose(alg).to_json(), sort_keys=True)
         assert a == b
+
+
+def factor_data(dec):
+    return sorted(
+        (f.dimension, f.residue_degree, f.tangent_dim, f.nilpotency_index) for f in dec.factors
+    )
+
+
+def dedekind_kummer(f, p):
+    """Local factors of F_p[x]/(f) from sympy's factorization of f mod p.
+
+    Each g^e gives F_p[x]/(g^e): dimension e*deg g, residue degree deg g,
+    tangent dimension 1 if e > 1 else 0, and nilpotency index e.
+    """
+    _, pieces = Poly(f[::-1], Symbol("x"), modulus=p).factor_list()
+    return sorted((e * g.degree(), g.degree(), min(e - 1, 1), e) for g, e in pieces)
+
+
+def frobenius_fixed_dim(alg):
+    """dim ker(F - I) for Frobenius F: x -> x^p, with the rank taken by sympy."""
+    p, n = alg.base.p, alg.rank
+    frob = [alg.element_power(alg.basis_vector(i), p) for i in range(n)]
+    rows = [[(frob[j][i] - (i == j)) % p for j in range(n)] for i in range(n)]
+    return n - sympy_gf_matrix(rows, p).rank()
+
+
+def rebased(draw, alg):
+    """alg in a random unimodular basis, or unchanged."""
+    if not draw(st.booleans()):
+        return alg
+    return alg.change_basis(random_unimodular(draw(st.randoms(use_true_random=False)), alg.rank))
+
+
+@st.composite
+def power_basis_fibers(draw):
+    """(f, p, Z[x]/(f) mod p in a random basis) for monic f of degree 2-8."""
+    n = draw(st.integers(2, 8))
+    f = draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n)) + [1]
+    p = draw(st.sampled_from(PRIMES_TO_31))
+    return f, p, rebased(draw, power_basis_algebra(f)).reduce_mod_p(p)
+
+
+@st.composite
+def conductor_fibers(draw):
+    """(n, (Z + m*Z[theta]) mod p in a random basis) for a prime p | m."""
+    n = draw(st.integers(2, 8))
+    f = draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n)) + [1]
+    p = draw(st.sampled_from(PRIMES_TO_31))
+    m = p * draw(st.integers(1, 4))
+    basis = [[m if i == j > 0 else int(i == j) for j in range(n)] for i in range(n)]
+    alg = OrderPresentation(f, basis).to_algebra(f"Z + {m}*Z[theta]")
+    return n, rebased(draw, alg).reduce_mod_p(p)
+
+
+class TestFrobeniusSplitting:
+    @settings(max_examples=150, deadline=None)
+    @given(power_basis_fibers())
+    def test_dedekind_kummer(self, case):
+        f, p, fiber = case
+        dec = decompose(fiber)
+        assert factor_data(dec) == dedekind_kummer(f, p)
+        assert len(dec.factors) == frobenius_fixed_dim(fiber)
+
+    @settings(max_examples=60, deadline=None)
+    @given(conductor_fibers())
+    def test_conductor_fiber_is_one_fat_point(self, case):
+        n, fiber = case
+        assert factor_data(decompose(fiber)) == [(n, 1, n - 1, 2)]
+
+    @pytest.mark.parametrize("n,p", [(8, 2), (5, 2), (7, 3), (6, 5)])
+    def test_more_points_than_field_elements(self, n, p):
+        fiber = split_algebra(n).reduce_mod_p(p)
+        dec = decompose(fiber)
+        assert factor_data(dec) == [(1, 1, 0, 1)] * n
+        assert sorted(dec.idempotents) == sorted(fiber.basis_vector(i) for i in range(n))
+        assert frobenius_fixed_dim(fiber) == n
+
+    def test_all_residue_degrees_over_f2(self):
+        # x^2 (x+1)^2 (x^2+x+1) (x^3+x+1) (x^3+x^2+1): five local factors over F_2
+        f = [1]
+        for g in ([0, 0, 1], [1, 1], [1, 1], [1, 1, 1], [1, 1, 0, 1], [1, 0, 1, 1]):
+            f = [sum(f[i] * g[k - i] for i in range(len(f)) if 0 <= k - i < len(g))
+                 for k in range(len(f) + len(g) - 1)]
+        fiber = power_basis_algebra(f).reduce_mod_p(2)
+        dec = decompose(fiber)
+        assert factor_data(dec) == dedekind_kummer(f, 2) == sorted(
+            [(2, 1, 1, 2), (2, 1, 1, 2), (2, 2, 0, 1), (3, 3, 0, 1), (3, 3, 0, 1)]
+        )
+        assert len(dec.factors) == frobenius_fixed_dim(fiber) == 5
+
+    def test_local_fiber_never_calls_berlekamp(self, monkeypatch):
+        def fail(_):
+            raise AssertionError("berlekamp_factor called on a local fiber")
+
+        monkeypatch.setattr(artin, "berlekamp_factor", fail)
+        assert len(decompose(gaussian_order().reduce_mod_p(2)).factors) == 1
+        assert len(decompose(fp_quotient(7, [0, 0, 0, 1])).factors) == 1
 
 
 class TestMonogenicityCriteria:

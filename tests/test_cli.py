@@ -175,6 +175,19 @@ class TestCommands:
         assert report["common_index_divisors"] == [p]
         assert report["global"] == {"status": "NotMonogenic", "reason": f"common index divisor {p}"}
 
+    def test_classify_conductor_beyond_int32(self, capsys, tmp_path):
+        # Z + p*Z[cbrt 2], p = 2147483659 > 2^31: F_p fibers at such p are allowed
+        p = 2147483659
+        path = tmp_path / "conductor_2_31.json"
+        basis = [[1, 0, 0], [0, p, 0], [0, 0, p]]
+        path.write_text(json.dumps({"order": {"minpoly": [-2, 0, 0, 1], "basis": basis}}))
+        code, out, err = run(capsys, "classify", str(path), "--height", "1", "--json")
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert report["common_index_divisors"] == [p]
+        assert report["global"] == {"status": "NotMonogenic", "reason": f"common index divisor {p}"}
+        assert report["artin_crosscheck"][-1] == {"p": p, "brute": False, "artin": False}
+
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])

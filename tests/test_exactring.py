@@ -30,12 +30,12 @@ from monogen.exactring import (
     fp_kernel,
     fp_rref,
     int_determinant,
-    is_irreducible,
     is_prime,
     necklace_count,
 )
 from monogen.indexform import matrix_of_coefficients
-from conftest import random_fp_matrix, sympy_gf_matrix
+from monogen import exactring
+from conftest import random_fp_matrix, sympy_gf_matrix, sympy_irreducible
 
 
 def v(i, arity=3, base=ZZ):
@@ -289,6 +289,15 @@ class TestBerlekamp:
         with pytest.raises(ZeroPolynomial):
             berlekamp_factor(UniPolyFp(3, ()))
 
+    def test_constant_scan_budget(self, monkeypatch):
+        # (x - 200)(x - 300) over F_1009: the gcd walk over constants must reach 300
+        f = UniPolyFp(1009, (200 * 300, -500, 1))
+        roots = sorted(-g.coeffs[0] % 1009 for g, _ in berlekamp_factor(f))
+        assert roots == [200, 300]
+        monkeypatch.setattr(exactring, "BERLEKAMP_SCAN_CAP", 250)
+        with pytest.raises(BudgetExceeded, match="Berlekamp splitting over F_1009"):
+            berlekamp_factor(f)
+
     def test_non_monic_raises(self):
         with pytest.raises(NonMonic):
             berlekamp_factor(UniPolyFp(3, (1, 2)))
@@ -302,7 +311,7 @@ class TestBerlekamp:
             f = UniPolyFp(p, coeffs)
             prod = UniPolyFp(p, (1,))
             for g, mult in berlekamp_factor(f):
-                assert g.is_monic and is_irreducible(g)
+                assert g.is_monic and sympy_irreducible(p, g.coeffs)
                 for _ in range(mult):
                     prod = prod * g
             assert prod == f
@@ -352,7 +361,7 @@ class TestNecklaceCount:
         for f in range(1, 5):
             count = 0
             for tail in itertools.product(range(p), repeat=f):
-                if is_irreducible(UniPolyFp(p, tail + (1,))):
+                if sympy_irreducible(p, tail + (1,)):
                     count += 1
             assert necklace_count(p, f) == count
 
@@ -462,9 +471,24 @@ class TestFactorInt:
         assert factor_int(-n) == {2: 10, 3: 1, 1009: 3, 10**6 + 3: 2}
 
     def test_untestable_cofactor_raises(self):
-        # about 10^33 and not a perfect power: no deterministic primality test
+        # about 10^33, beyond the primality test and not a perfect power:
+        # Pollard-Brent splits it before any primality test is needed
+        assert factor_int(1009**7 * (10**6 + 3) ** 2) == {1009: 7, 10**6 + 3: 2}
+
+    def test_prime_beyond_bound_raises(self):
+        # 2^89 - 1 is a prime above MR_BOUND, so Pollard-Brent runs out of steps
+        with pytest.raises(BudgetExceeded, match="Pollard-Brent.*primality test"):
+            factor_int(2**89 - 1)
+
+
+class TestModulus:
+    def test_primality_is_the_only_gate(self):
+        assert Fp(2147483659).p == 2147483659  # beyond 2^31
+        for bad in (4, 1, None, "7"):
+            with pytest.raises(MonogenError, match="is not a prime"):
+                Fp(bad)
         with pytest.raises(BudgetExceeded, match="primality test"):
-            factor_int(1009**7 * (10**6 + 3) ** 2)
+            Fp(sympy.nextprime(MR_BOUND))
 
 
 class TestPrimality:
