@@ -490,12 +490,6 @@ class SparsePoly:
                     terms[e] = s
         return SparsePoly(base, self.arity, terms)
 
-    def scale(self, c):
-        c = self.base.coerce(c)
-        return SparsePoly(
-            self.base, self.arity, {e: self.base.mul(v, c) for e, v in self.terms.items()}
-        )
-
     def __pow__(self, k: int):
         if k < 0:
             raise MonogenError("negative power")
@@ -596,6 +590,28 @@ class SparsePoly:
             return out
         raise BaseRingMismatch("integer coefficients need base Z or Z[t]")
 
+    # -- packed monomials
+
+    def packed(self, width: int) -> dict:
+        """Terms keyed by packed exponent vectors, width bits per variable.
+
+        Variable i holds bits width*i to width*(i+1) - 1.  While no exponent
+        reaches 2^width, a product of monomials is the sum of their keys.
+        """
+        return {
+            sum(e << (width * i) for i, e in enumerate(exps)): c
+            for exps, c in self.terms.items()
+        }
+
+    @classmethod
+    def from_packed(cls, base, arity: int, width: int, terms) -> "SparsePoly":
+        """Inverse of packed."""
+        mask = (1 << width) - 1
+        shifts = [width * i for i in range(arity)]
+        return cls(
+            base, arity, {tuple(k >> s & mask for s in shifts): c for k, c in terms.items()}
+        )
+
     # -- serialization
 
     def sorted_terms(self):
@@ -651,6 +667,41 @@ class SparsePoly:
 # determinants
 
 
+def packed_arithmetic(base: BaseRing):
+    """(mul_into, normalize) for polynomials over base in packed form.
+
+    ``mul_into(acc, f, g)`` adds f*g into the dict acc in place, and
+    ``normalize(acc)`` drops zero terms.  Over Z and F_p the coefficients
+    are plain ints, and F_p values are reduced once, in normalize.
+    """
+    if base.is_polynomial:
+        add, mul = base.add, base.mul
+
+        def mul_into(acc, f, g):
+            for e2, c2 in g.items():
+                for e1, c1 in f.items():
+                    e = e1 + e2
+                    acc[e] = add(acc[e], mul(c1, c2)) if e in acc else mul(c1, c2)
+
+    else:
+
+        def mul_into(acc, f, g):
+            get = acc.get
+            for e2, c2 in g.items():
+                for e1, c1 in f.items():
+                    e = e1 + e2
+                    acc[e] = get(e, 0) + c1 * c2
+
+    p = base.p if base.kind == "Fp" else None
+
+    def normalize(acc):
+        if p is None:
+            return {e: c for e, c in acc.items() if c}
+        return {e: r for e, c in acc.items() if (r := c % p)}
+
+    return mul_into, normalize
+
+
 def determinant(m):
     """Exact determinant by Laplace expansion, one minor per column subset.
 
@@ -658,23 +709,34 @@ def determinant(m):
     rows 0..k on those columns.  Extending by column j of the next row
     crosses every chosen column above j, hence the sign.  Nothing is
     divided, so the base ring only needs + and *.
+
+    The entries are packed once (SparsePoly.packed).  No exponent of the
+    determinant exceeds the sum over rows of the row's largest exponent,
+    so a field of that many bits never carries into the next.
     """
     n = _check_square(m)
-    base, arity = m[0][0].base, m[0][0].arity
-    minors = {1 << j: f for j, f in enumerate(m[0]) if not f.is_zero}
-    for row in m[1:]:
-        signed = [(f, -f) for f in row]
+    first = m[0][0]
+    base, arity = first.base, first.arity
+    for row in m:
+        for f in row:
+            first._check_compatible(f)
+    bound = sum(max((max(e, default=0) for f in row for e in f.terms), default=0) for row in m)
+    width = max(bound.bit_length(), 1)
+    rows = [[f.packed(width) for f in row] for row in m]
+    mul_into, normalize = packed_arithmetic(base)
+    minors = {1 << j: f for j, f in enumerate(rows[0]) if f}
+    for row in rows[1:]:
+        signed = [(f, {e: base.neg(c) for e, c in f.items()}) for f in row]
         nxt = {}
         for mask, minor in minors.items():
             for j, (f, neg_f) in enumerate(signed):
                 bit = 1 << j
-                if mask & bit or f.is_zero:
+                if mask & bit or not f:
                     continue
-                term = minor * (neg_f if bin(mask >> j).count("1") & 1 else f)
-                key = mask | bit
-                nxt[key] = nxt[key] + term if key in nxt else term
-        minors = {k: f for k, f in nxt.items() if not f.is_zero}
-    return minors.get((1 << n) - 1, SparsePoly.zero(base, arity))
+                acc = nxt.setdefault(mask | bit, {})
+                mul_into(acc, minor, neg_f if (mask >> j).bit_count() & 1 else f)
+        minors = {k: f for k, acc in nxt.items() if (f := normalize(acc))}
+    return SparsePoly.from_packed(base, arity, width, minors.get((1 << n) - 1, {}))
 
 
 def _check_square(m):
@@ -957,7 +1019,7 @@ def _berlekamp_squarefree(f: UniPolyFp):
             pieces = []
             rest = u
             for c in range(p):
-                if rest.degree < 1:
+                if rest.degree <= 1:  # a linear factor is irreducible
                     break
                 if c == BERLEKAMP_SCAN_CAP:
                     raise BudgetExceeded(

@@ -12,36 +12,40 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidAlgebra, LengthMismatch
-from .exactring import SparsePoly, determinant
+from .exactring import SparsePoly, determinant, packed_arithmetic
 from .algebra import StructureAlgebra
 
 
 def matrix_of_coefficients(alg: StructureAlgebra):
-    """n x n matrix of SparsePoly; row i = coordinates of theta^(i-1)."""
+    """n x n matrix of SparsePoly; row i = coordinates of theta^(i-1).
+
+    The powers are built on packed monomials (SparsePoly.packed).
+    Multiplication by theta sends a_i e_i to a_i * sum_j c_ijk x_j in
+    coordinate k, so each nonzero linear form sum_j c_ijk x_j is packed once.
+    """
     alg.require_valid()
     base, n = alg.base, alg.rank
-    zero = SparsePoly.zero(base, n)
-
-    def const(c):
-        return SparsePoly.constant(base, n, c)
-
-    generic = [SparsePoly.variable(base, n, i) for i in range(n)]
-    row = [const(u) for u in alg.identity]
-    rows = [list(row)]
+    width = max((n - 1).bit_length(), 1)
+    times_theta = []
+    for plane in alg.constants:
+        forms = []
+        for k in range(n):
+            form = {1 << (width * j): c[k] for j, c in enumerate(plane) if not base.is_zero(c[k])}
+            if form:
+                forms.append((k, form))
+        times_theta.append(forms)
+    mul_into, normalize = packed_arithmetic(base)
+    row = [{0: u} if not base.is_zero(u) else {} for u in alg.identity]
+    rows = [row]
     for _ in range(n - 1):
-        nxt = [zero] * n
-        for i in range(n):
-            if row[i].is_zero:
-                continue
-            for j in range(n):
-                coeff = row[i] * generic[j]
-                for k in range(n):
-                    c = alg.constants[i][j][k]
-                    if not base.is_zero(c):
-                        nxt[k] = nxt[k] + coeff.scale(c)
-        row = nxt
-        rows.append(list(row))
-    return rows
+        nxt = [{} for _ in range(n)]
+        for a, forms in zip(row, times_theta):
+            if a:
+                for k, form in forms:
+                    mul_into(nxt[k], a, form)
+        row = [normalize(acc) for acc in nxt]
+        rows.append(row)
+    return [[SparsePoly.from_packed(base, n, width, f) for f in r] for r in rows]
 
 
 @dataclass(frozen=True)
@@ -78,7 +82,15 @@ def index_form(alg: StructureAlgebra) -> IndexForm:
     if n == 1:
         form = SparsePoly.constant(alg.base, 1, 1)
         return IndexForm(alg.label, 1, form)
-    det = determinant(matrix_of_coefficients(alg)).canonical_sign()
+    m = matrix_of_coefficients(alg)
+    k = alg.identity_basis_index()
+    if k is not None:
+        # theta and theta - x_k * 1 have the same index form: pin x_k = 0
+        m = [
+            [SparsePoly(alg.base, n, {e: c for e, c in f.terms.items() if not e[k]}) for f in r]
+            for r in m
+        ]
+    det = determinant(m).canonical_sign()
     expected = n * (n - 1) // 2
     if not det.is_zero and not det.is_homogeneous(expected):
         raise InvalidAlgebra(

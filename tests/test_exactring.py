@@ -17,6 +17,7 @@ from monogen.errors import (
 )
 from monogen.exactring import (
     Fp,
+    FpX,
     SparsePoly,
     UniPolyFp,
     ZX,
@@ -187,6 +188,65 @@ class TestDeterminant:
             assert det.evaluate(pt) == int_determinant(at)
 
 
+@st.composite
+def poly_matrices(draw):
+    """Square matrix (n <= 5) of polynomials in 1..4 variables, exponents up to 10,
+    over Z, F_7, Z[t] or F_5[t], with zero entries, and a seeded rng for points."""
+    base = draw(st.sampled_from([ZZ, Fp(7), ZX, FpX(5)]))
+    n, arity = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    if base.is_polynomial:
+        coeff = st.lists(st.integers(-3, 3), max_size=3)
+    else:
+        coeff = st.integers(-5, 5)
+    entry = st.dictionaries(st.tuples(*[st.integers(0, 10)] * arity), coeff, max_size=3)
+    m = [
+        [
+            SparsePoly(base, arity, {e: base.coerce(c) for e, c in draw(entry).items()})
+            for _ in range(n)
+        ]
+        for _ in range(n)
+    ]
+    return m, draw(st.randoms(use_true_random=False))
+
+
+def _value(cf, base, t0):
+    """A base-ring value as an int: Z[t] and F_p[t] values are taken at t = t0."""
+    return _at_t(cf, t0) if base.is_polynomial else cf
+
+
+class TestPackedDeterminant:
+    @settings(max_examples=150, deadline=None)
+    @given(poly_matrices())
+    def test_matches_integer_determinant_at_points(self, case):
+        m, rng = case
+        base = m[0][0].base
+        det = determinant(m)
+        assert det.base == base and det.arity == m[0][0].arity
+        if base.kind == "Fp":
+            assert all(0 < c < base.p for c in det.terms.values())
+        for _ in range(3):
+            pt = [rng.randint(-3, 3) for _ in range(det.arity)]
+            t0 = rng.randint(-3, 3)
+            at = [[_value(f.evaluate(pt), base, t0) for f in row] for row in m]
+            want = int_determinant(at)
+            got = _value(det.evaluate(pt), base, t0)
+            if base.p is None:
+                assert got == want
+            else:
+                assert got % base.p == want % base.p
+
+    @pytest.mark.parametrize("base", [ZZ, Fp(7), ZX, FpX(5)], ids=["Z", "F7", "ZX", "F5X"])
+    @pytest.mark.parametrize("top", [15, 16])
+    def test_exponents_at_a_power_of_two_field_boundary(self, base, top):
+        # row maxima 8 and top - 8 sum to top: the field is 4 bits wide at
+        # top = 15, where x1^15 fills it, and 5 bits at top = 16
+        x1, x2, x3 = (SparsePoly.variable(base, 3, i) for i in range(3))
+        m = [[x1**8, x2**8 * x3], [x2 ** (top - 8), x1 ** (top - 8) * x3]]
+        det = determinant(m)
+        assert det == x1**top * x3 - x2**top * x3
+        assert set(det.terms) == {(top, 0, 1), (0, top, 1)}
+
+
 def _at_t(cf, t0):
     return sum(k * t0**i for i, k in enumerate(cf))
 
@@ -265,7 +325,7 @@ class TestContentPrimes:
             if f.is_zero:
                 continue
             k = rng.choice([2, 3, 5, 6, 10])
-            scaled = f.scale(k)
+            scaled = c(k, 2) * f
             assert content_primes(scaled) == content_primes(f) | set(
                 sympy.factorint(k)
             )
@@ -290,13 +350,21 @@ class TestBerlekamp:
             berlekamp_factor(UniPolyFp(3, ()))
 
     def test_constant_scan_budget(self, monkeypatch):
-        # (x - 200)(x - 300) over F_1009: the gcd walk over constants must reach 300
-        f = UniPolyFp(1009, (200 * 300, -500, 1))
+        # (x - 300)(x - 400) over F_1009: the gcd walk over constants must reach 300
+        f = UniPolyFp(1009, (300 * 400, -700, 1))
         roots = sorted(-g.coeffs[0] % 1009 for g, _ in berlekamp_factor(f))
-        assert roots == [200, 300]
+        assert roots == [300, 400]
         monkeypatch.setattr(exactring, "BERLEKAMP_SCAN_CAP", 250)
         with pytest.raises(BudgetExceeded, match="Berlekamp splitting over F_1009"):
             berlekamp_factor(f)
+
+    def test_constant_scan_stops_at_a_linear_rest(self, monkeypatch):
+        # (x - 200)(x - 300) over F_1009: once x - 200 splits off at c = 200,
+        # the rest x - 300 is linear and the walk stops
+        monkeypatch.setattr(exactring, "BERLEKAMP_SCAN_CAP", 201)
+        f = UniPolyFp(1009, (200 * 300, -500, 1))
+        roots = sorted(-g.coeffs[0] % 1009 for g, _ in berlekamp_factor(f))
+        assert roots == [200, 300]
 
     def test_non_monic_raises(self):
         with pytest.raises(NonMonic):

@@ -1,10 +1,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monogen.errors import LengthMismatch
-from monogen.algebra import power_basis_algebra, split_algebra
-from monogen.exactring import SparsePoly, ZX, ZZ, discriminant_unipoly, determinant
+from monogen.algebra import OrderPresentation, power_basis_algebra, split_algebra
+from monogen.exactring import (
+    SparsePoly,
+    ZX,
+    ZZ,
+    determinant,
+    discriminant_unipoly,
+    int_determinant,
+)
 from monogen.indexform import (
     check_monogenerator,
     index_form,
@@ -73,6 +81,57 @@ class TestIndexForm:
             f = index_form(alg)
             n = alg.rank
             assert f.form.is_homogeneous(n * (n - 1) // 2)
+
+
+@st.composite
+def conductor_orders(draw):
+    """Z + m*Z[theta] of rank 2..5 in a random unimodular basis in which 1 is
+    basis element k, k at a random position; returns (algebra, k)."""
+    n = draw(st.integers(2, 5))
+    f = draw(
+        st.lists(st.integers(-4, 4), min_size=n, max_size=n)
+        .map(lambda c: c + [1])
+        .filter(lambda c: discriminant_unipoly(c) != 0)
+    )
+    m = draw(st.integers(1, 6))
+    U = random_unimodular(draw(st.randoms(use_true_random=False)), n, fix_first_row=True)
+    scale = [1] + [m] * (n - 1)
+    basis = [[u * d for u, d in zip(row, scale)] for row in U]
+    perm = draw(st.permutations(range(n)))
+    alg = OrderPresentation(f, [basis[i] for i in perm]).to_algebra(f"Z + {m}*Z[theta]")
+    return alg, perm.index(0)
+
+
+class TestPinnedIdentity:
+    """index_form drops x_k, the coordinate of 1, before the determinant."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(conductor_orders())
+    def test_pinned_form_equals_full_determinant(self, case):
+        alg, k = case
+        assert alg.identity_basis_index() == k
+        full = determinant(matrix_of_coefficients(alg)).canonical_sign()
+        assert index_form(alg).form == full
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_split_algebra_has_nothing_to_pin(self, n):
+        alg = split_algebra(n)
+        assert alg.identity_basis_index() is None
+        full = determinant(matrix_of_coefficients(alg)).canonical_sign()
+        assert index_form(alg).form == full
+
+    def test_rank_six_trinomial(self):
+        alg = power_basis_algebra([-1, -1, 0, 0, 0, 0, 1], "x^6 - x - 1")
+        form = index_form(alg)
+        assert len(form.form.terms) == 3440
+        m = matrix_of_coefficients(alg)
+        rng = random.Random(29)
+        got, want = [], []
+        for _ in range(6):
+            pt = [rng.randint(-4, 4) for _ in range(6)]
+            got.append(form.evaluate(pt))
+            want.append(int_determinant([[f.evaluate(pt) for f in row] for row in m]))
+        assert got in (want, [-w for w in want])
 
 
 class TestEvaluate:
