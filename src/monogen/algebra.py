@@ -89,9 +89,14 @@ class StructureAlgebra:
         )
 
     def element_power(self, v, k: int):
+        """v^k by square-and-multiply."""
         out = self.identity
-        for _ in range(k):
-            out = self.vec_mul(out, v)
+        while k:
+            if k & 1:
+                out = self.vec_mul(out, v)
+            k >>= 1
+            if k:
+                v = self.vec_mul(v, v)
         return out
 
     def mult_matrix(self, v):

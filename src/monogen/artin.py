@@ -95,23 +95,9 @@ def nilradical(alg: StructureAlgebra):
     q = p
     while q < n:
         q *= p
-    images = []
-    for i in range(n):
-        v = alg.basis_vector(i)
-        images.append(_vec_pow(alg, v, q))
+    images = [alg.element_power(alg.basis_vector(i), q) for i in range(n)]
     rows, _ = fp_rref(fp_kernel(list(zip(*images)), p), p)
     return rows
-
-
-def _vec_pow(alg, v, k):
-    out = alg.identity
-    base = v
-    while k:
-        if k & 1:
-            out = alg.vec_mul(out, base)
-        base = alg.vec_mul(base, base)
-        k >>= 1
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +112,7 @@ def _primitive_idempotents(alg):
     dimension r is the number of local factors.
     """
     p, n = alg.base.p, alg.rank
-    frob = [_vec_pow(alg, alg.basis_vector(i), p) for i in range(n)]
+    frob = [alg.element_power(alg.basis_vector(i), p) for i in range(n)]
     fixed = fp_kernel([[(frob[j][i] - (i == j)) % p for j in range(n)] for i in range(n)], p)
     idempotents = [alg.identity]
     for b in fixed:

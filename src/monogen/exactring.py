@@ -347,11 +347,6 @@ class BaseRing:
             s += f" - {part[1:]}" if part.startswith("-") else f" + {part}"
         return s
 
-    def sort_key(self, a):
-        if self.kind in ("Z", "Fp"):
-            return (0, (a,))
-        return (len(a), a)
-
     def to_json(self):
         d = {"kind": self.kind}
         if self.p is not None:

@@ -14,7 +14,14 @@ from .exactring import content_primes, is_prime
 from .algebra import StructureAlgebra
 from .indexform import IndexForm, index_form
 from . import artin
-from .search import DEFAULT_ENUM_CAP, SearchResult, check_height, scan, search_monogenerators
+from .search import (
+    DEFAULT_ENUM_CAP,
+    SearchResult,
+    check_height,
+    projective_scan,
+    search_monogenerators,
+    stage,
+)
 from .twisted import base_Z_twisted_note
 
 # classify cross-checks the two fiber oracles at every prime up to this
@@ -46,14 +53,17 @@ def is_monogenic_at_prime(
 
     Variables absent from the reduced form (always including the
     coefficient of 1 when 1 is a basis element) are skipped; the first
-    witness in lexicographic order is reported.
+    witness in lexicographic order is reported.  Its first nonzero
+    coordinate is 1, since dividing a witness by that coordinate gives a
+    witness no larger, so one point per line through 0 is scanned.
     """
     _require_z(alg)
     if form is None:
         form = index_form(alg)
-    for v, value in scan(form.reduce_mod_p(p), range(p), cap):
-        if value != 0:
-            return LocalVerdict(p, True, v)
+    with stage(f"prime check mod {p}"):
+        for v, value in projective_scan(form.reduce_mod_p(p), p, cap):
+            if value != 0:
+                return LocalVerdict(p, True, v)
     return LocalVerdict(p, False)
 
 
@@ -101,8 +111,18 @@ def geometric_point_verdict(
 
 
 def value_set_mod_p(form: IndexForm, p: int, cap: int = DEFAULT_ENUM_CAP):
-    """All values of the index form over F_p tuples."""
-    return {value for _, value in scan(form.reduce_mod_p(p), range(p), cap)}
+    """All values of the index form over F_p tuples.
+
+    The form is homogeneous of degree d, so on the line through v it takes
+    the values c^d * F(v) for c in F_p^*: one point per line is evaluated,
+    and each value is scaled by the d-th powers in the base ring.
+    """
+    poly = form.reduce_mod_p(p)
+    base = poly.base
+    powers = {base.coerce(pow(c, form.degree, p)) for c in range(1, p)}
+    with stage(f"value set mod {p}"):
+        values = {value for _, value in projective_scan(poly, p, cap)}
+    return {base.mul(a, u) for a in values for u in powers}
 
 
 def local_obstruction_primes(

@@ -7,6 +7,7 @@ for u = +-1 and t an integer multiple of 1.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, IdentityNotInBasis, MonogenError, NotIntegerBase
@@ -27,8 +28,7 @@ def scan(poly: SparsePoly, values, cap: int):
     univariate polynomial in the last used variable.
     """
     used = poly.variables_used()
-    if len(values) ** len(used) > cap:
-        raise BudgetExceeded(f"{len(values)}^{len(used)} exceeds the enumeration cap {cap}")
+    _check_budget(len(values), len(used), cap)
     point = [0] * poly.arity
     if not used:
         yield tuple(point), poly.evaluate(point)
@@ -48,6 +48,53 @@ def _lines(poly: SparsePoly, used, values, point):
             yield tuple(point), poly.evaluate([x])
         else:
             yield from _lines(poly.substitute_first(x), used[1:], values, point)
+
+
+def projective_scan(poly: SparsePoly, p: int, cap: int):
+    """Yield (v, poly(v)) for 0 and one point on each line through 0 of F_p^m.
+
+    poly is over F_p or F_p[t] and m is the number of variables it uses; the
+    others stay 0.  After the zero point come the points whose first nonzero
+    used coordinate is 1, in lexicographic order; a homogeneous poly of
+    degree d takes the value c^d * poly(v) at c*v.  Chart j sets the used
+    coordinates before the j-th to 0 and the j-th to 1, and scans the rest
+    with scan, which leaves the coordinates the chart does not use at 0.
+    Raises BudgetExceeded when p^m exceeds cap, as scan would.
+    """
+    used = poly.variables_used()
+    _check_budget(p, len(used), cap)
+    zero = (0,) * poly.arity
+    yield zero, poly.evaluate(zero)
+    for j in reversed(range(len(used))):
+        lead = used[j]
+        for v, value in scan(_chart(poly, used[:j], lead), range(p), cap):
+            yield v[:lead] + (1,) + v[lead + 1:], value
+
+
+def _chart(poly: SparsePoly, zeros, lead: int) -> SparsePoly:
+    """poly with the variables in zeros set to 0 and variable lead set to 1."""
+    base = poly.base
+    terms = {}
+    for exps, c in poly.terms.items():
+        if any(exps[i] for i in zeros):
+            continue
+        e = exps[:lead] + (0,) + exps[lead + 1:]
+        terms[e] = base.add(terms[e], c) if e in terms else c
+    return SparsePoly(base, poly.arity, terms)
+
+
+def _check_budget(count: int, m: int, cap: int):
+    if count**m > cap:
+        raise BudgetExceeded(f"{count}^{m} exceeds the enumeration cap {cap}")
+
+
+@contextmanager
+def stage(name: str):
+    """Prefix the message of a BudgetExceeded raised inside with name."""
+    try:
+        yield
+    except BudgetExceeded as e:
+        raise BudgetExceeded(f"{name}: {e}") from None
 
 
 @dataclass(frozen=True)
@@ -84,7 +131,8 @@ def search_monogenerators(
     if form is None:
         form = index_form(alg)
     values = range(-height, height + 1)
-    witnesses = [v for v, value in scan(form.form, values, cap) if value in (1, -1)]
+    with stage(f"box search at height {height}"):
+        witnesses = [v for v, value in scan(form.form, values, cap) if value in (1, -1)]
     ident = alg.identity_basis_index()
     classes = []
     if ident is not None:

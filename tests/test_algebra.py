@@ -180,6 +180,14 @@ class TestMultMatrix:
             rhs = alg.mult_matrix(alg.vec_mul(v, w))
             assert lhs == rhs
 
+    def test_element_power_is_repeated_product(self, rng):
+        for alg in (dedekind_order(), dedekind_order().reduce_mod_p(5)):
+            v = tuple(alg.base.coerce(rng.randint(-3, 3)) for _ in range(3))
+            power = alg.identity
+            for k in range(12):
+                assert alg.element_power(v, k) == power
+                power = alg.vec_mul(power, v)
+
 
 class TestDiscriminant:
     def test_gaussian(self):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from sympy import Poly, discriminant, primefactors, symbols
 
 from monogen.errors import BudgetExceeded, NotIntegerBase, ZeroIndexForm
@@ -15,6 +15,7 @@ from monogen.localmono import (
     local_obstruction_primes,
     value_set_mod_p,
 )
+from monogen.search import scan
 from conftest import dedekind_order, gaussian_order, random_algebra, random_unimodular
 
 
@@ -124,6 +125,22 @@ class TestValueSets:
     def test_gaussian_no_obstruction(self):
         assert local_obstruction_primes(index_form(gaussian_order())) == []
 
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("name", ["elliptic_chart", "p1_squaring_chart"])
+    def test_base_zt_matches_full_scan(self, corpus, name, p):
+        # the values lie in F_p[t], so the d-th powers scale them in that ring
+        alg = next(a for n, a, _ in corpus if n == name)
+        form = index_form(alg)
+        assert value_set_mod_p(form, p) == {value for _, value in full_scan(form, p)}
+
+    def test_budget_names_the_stage(self):
+        form = index_form(dedekind_order())
+        cap_message = r"\^2 exceeds the enumeration cap "
+        with pytest.raises(BudgetExceeded, match=rf"^value set mod 7: 7{cap_message}48$"):
+            value_set_mod_p(form, 7, cap=48)
+        with pytest.raises(BudgetExceeded, match=rf"^prime check mod 5: 5{cap_message}24$"):
+            is_monogenic_at_prime(dedekind_order(), 5, cap=24, form=form)
+
 
 class TestClassify:
     def test_dedekind_report(self):
@@ -198,10 +215,16 @@ class TestClassify:
         assert d["global"]["status"] == "NotMonogenic"
 
 
+def full_scan(form, p):
+    """Every point of F_p^m and the reduced form's value there."""
+    poly = form.reduce_mod_p(p)
+    return list(scan(poly, range(p), p ** len(poly.variables_used())))
+
+
 @st.composite
-def conductor_orders(draw):
+def conductor_orders(draw, ranks=(3, 4)):
     """(Z + m*Z[theta] in a random unimodular basis that keeps 1 first, m)."""
-    n = draw(st.integers(3, 4))
+    n = draw(st.integers(*ranks))
     x = symbols("x")
     f = draw(
         st.lists(st.integers(-6, 6), min_size=n, max_size=n)
@@ -209,7 +232,9 @@ def conductor_orders(draw):
         .filter(lambda c: discriminant(Poly(c[::-1], x)) != 0)
     )
     m = draw(st.integers(1, 15))
-    U = random_unimodular(draw(st.randoms(use_true_random=False)), n, fix_first_row=True)
+    U = [[1]]
+    if n > 1:
+        U = random_unimodular(draw(st.randoms(use_true_random=False)), n, fix_first_row=True)
     scale = [1] + [m] * (n - 1)
     basis = [[u * d for u, d in zip(row, scale)] for row in U]
     return OrderPresentation(f, basis).to_algebra(f"Z + {m}*Z[theta]"), m
@@ -228,3 +253,33 @@ class TestConductorProperty:
             assert r.zariski_local
         if r.zariski_local:
             assert r.geometric
+
+
+def conductor_order(f, m):
+    """(Z + m*Z[theta] in the basis 1, m*theta, ..., m*theta^(n-1), m)."""
+    n = len(f) - 1
+    basis = [[(m if i else 1) * (i == j) for j in range(n)] for i in range(n)]
+    return OrderPresentation(f, basis).to_algebra(f"Z + {m}*Z[theta]"), m
+
+
+class TestProjectiveScanProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(conductor_orders(ranks=(1, 5)), st.sampled_from([2, 3, 5, 7, 11, 13]))
+    # d = 6 and d = 10: every c^d is 1, so each line takes a single nonzero value
+    @example(conductor_order([-1, -1, 0, 0, 1], 2), 7)
+    @example(conductor_order([-1, -1, 0, 0, 0, 1], 3), 11)
+    def test_matches_full_scan(self, order, p):
+        alg, _ = order
+        form = index_form(alg)
+        full = full_scan(form, p)
+        assert value_set_mod_p(form, p) == {value for _, value in full}
+        first = next((v for v, value in full if value), None)
+        assert is_monogenic_at_prime(alg, p, form=form).witness == first
+        m = len(form.reduce_mod_p(p).variables_used())
+        for run in (
+            lambda cap: value_set_mod_p(form, p, cap),
+            lambda cap: is_monogenic_at_prime(alg, p, cap, form),
+        ):
+            with pytest.raises(BudgetExceeded):
+                run(p**m - 1)
+            run(p**m)

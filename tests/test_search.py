@@ -5,9 +5,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from monogen.errors import BudgetExceeded, IdentityNotInBasis
 from monogen.algebra import power_basis_algebra, split_algebra
-from monogen.exactring import ZZ, Fp, SparsePoly
+from monogen.exactring import ZZ, Fp, FpX, SparsePoly
 from monogen.indexform import check_monogenerator
-from monogen.search import affine_normalize, scan, search_monogenerators
+from monogen.search import affine_normalize, projective_scan, scan, search_monogenerators
 from conftest import gaussian_order
 
 
@@ -103,6 +103,64 @@ class TestLineScan:
         assert first == (1, 0, 1) and len(calls) == 7 + 2
 
 
+@st.composite
+def projective_cases(draw):
+    """An F_p or F_p[t] polynomial, some of whose variables may be unused."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    base = draw(st.sampled_from([Fp(p), FpX(p)]))
+    arity = draw(st.integers(1, 4))
+    live = draw(st.lists(st.booleans(), min_size=arity, max_size=arity))
+    exps = st.tuples(*[st.integers(0, 3) if on else st.just(0) for on in live])
+    coeffs = st.integers(-9, 9)
+    if base.is_polynomial:
+        coeffs = st.lists(coeffs, min_size=1, max_size=2)
+    terms = draw(st.dictionaries(exps, coeffs, max_size=6))
+    return SparsePoly(base, arity, {e: base.coerce(c) for e, c in terms.items()}), p
+
+
+def leading_coordinate(v):
+    return next((c for c in v if c), None)
+
+
+class TestProjectiveScan:
+    @settings(max_examples=200, deadline=None)
+    @given(projective_cases())
+    @example((SparsePoly.zero(Fp(3), 2), 3))
+    @example((SparsePoly.constant(Fp(5), 3, 2), 5))
+    @example((SparsePoly(Fp(3), 3, {(1, 0, 1): 1, (0, 1, 0): 2}), 3))
+    def test_one_point_per_line(self, case):
+        poly, p = case
+        m = len(poly.variables_used())
+        points = list(projective_scan(poly, p, p**m))
+        full = list(scan(poly, range(p), p**m))
+        vs = [v for v, _ in points]
+        assert vs[0] == (0,) * poly.arity and vs == sorted(set(vs))
+        assert all(leading_coordinate(v) in (None, 1) for v in vs)
+        assert all(value == poly.evaluate(v) for v, value in points)
+        assert len(points) <= 1 + (p**m - 1) // (p - 1)
+        # a chart leaves the coordinates it does not use at 0, as scan does,
+        # so it drops points but no value, and not the first nonzero point
+        on_charts = [(v, value) for v, value in full if leading_coordinate(v) in (None, 1)]
+        assert {value for _, value in points} == {value for _, value in on_charts}
+        nonzero = [v for v, value in on_charts if value != poly.base.zero]
+        assert [v for v, value in points if value != poly.base.zero][:1] == nonzero[:1]
+
+    def test_budget_before_first_evaluation(self, monkeypatch):
+        calls = counting_evaluate(monkeypatch)
+        poly = SparsePoly(Fp(3), 3, {(1, 0, 1): 1})
+        with pytest.raises(BudgetExceeded, match=r"^3\^2 exceeds the enumeration cap 8$"):
+            next(projective_scan(poly, 3, 8))
+        assert calls == []
+        assert len(list(projective_scan(poly, 3, 9))) == 1 + 3 + 1
+
+    def test_charts_from_last_coordinate_to_first(self):
+        poly = SparsePoly(Fp(3), 3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
+        vs = [v for v, _ in projective_scan(poly, 3, 27)]
+        assert vs == [(0, 0, 0), (0, 0, 1)] + [(0, 1, c) for c in range(3)] + [
+            (1, b, c) for b in range(3) for c in range(3)
+        ]
+
+
 class TestSearch:
     def test_gaussian_height_1(self):
         res = search_monogenerators(gaussian_order(), 1)
@@ -130,6 +188,12 @@ class TestSearch:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             search_monogenerators(split_algebra(3), 100, cap=10)
+
+    def test_budget_names_the_height(self):
+        message = r"^box search at height 2: 5\^3 exceeds the enumeration cap 124$"
+        with pytest.raises(BudgetExceeded, match=message):
+            search_monogenerators(split_algebra(3), 2, cap=124)
+        assert search_monogenerators(split_algebra(3), 2, cap=125).exhausted
 
     def test_orbit_closure_at_boundary(self):
         alg = power_basis_algebra([-2, 0, 1], "Z[sqrt2]")
