@@ -2,8 +2,11 @@
 
 A StructureAlgebra stores the multiplication table e_i * e_j = sum_k
 c[i][j][k] e_k over a BaseRing, together with the coordinates of 1 in the
-basis.  Orders in number fields enter through OrderPresentation (a monic
-minimal polynomial plus a rational basis matrix in the power basis).
+basis.  Building one checks the ring axioms (commutativity, associativity,
+the given 1) and raises ValidationError listing every violation, so each
+instance is a commutative ring with 1.  Orders in number fields enter
+through OrderPresentation (a monic minimal polynomial plus a rational
+basis matrix in the power basis).
 """
 
 from __future__ import annotations
@@ -34,11 +37,32 @@ RANK_CAP = 12
 
 
 class StructureAlgebra:
-    """Free rank-n algebra over a base ring, immutable after construction."""
+    """Free rank-n commutative algebra with 1 over a base ring, immutable.
 
-    __slots__ = ("base", "rank", "constants", "identity", "label", "_validated")
+    The constructor raises ValidationError, listing every violated axiom,
+    unless the table is commutative and associative with the given 1.
+    """
+
+    __slots__ = ("base", "rank", "constants", "identity", "label")
 
     def __init__(self, base: BaseRing, rank: int, constants, identity, label: str = ""):
+        self._fill(base, rank, constants, identity, label)
+        violations = self.validate()
+        if violations:
+            raise ValidationError(violations)
+
+    @classmethod
+    def _derived(cls, base, rank, constants, identity, label):
+        """An algebra derived from a valid one, built without the axiom check.
+
+        Reduction mod p keeps the axioms, which are integer identities in
+        the constants, and a change of basis gives an isomorphic algebra.
+        """
+        alg = cls.__new__(cls)
+        alg._fill(base, rank, constants, identity, label)
+        return alg
+
+    def _fill(self, base, rank, constants, identity, label):
         if not (1 <= rank <= RANK_CAP):
             raise InvalidAlgebra(f"rank must be in 1..{RANK_CAP}, got {rank}")
         self.base = base
@@ -56,7 +80,6 @@ class StructureAlgebra:
         if len(self.identity) != rank:
             raise InvalidAlgebra("identity coordinates must have length n")
         self.label = label
-        self._validated = False
 
     # -- coordinate arithmetic
 
@@ -108,47 +131,30 @@ class StructureAlgebra:
         cols = [self.vec_mul(v, self.basis_vector(j)) for j in range(n)]
         return [[cols[j][k] for j in range(n)] for k in range(n)]
 
-    def trace(self, v) -> object:
-        m = self.mult_matrix(v)
-        acc = self.base.zero
-        for i in range(self.rank):
-            acc = self.base.add(acc, m[i][i])
-        return acc
-
     # -- validation
 
     def validate(self):
-        """Return the list of violated axioms (empty iff valid)."""
-        base, n = self.base, self.rank
+        """Return the list of violated axioms (empty iff valid).
+
+        e_i * e_j is read off the table as c[i][j].
+        """
+        c, n = self.constants, self.rank
         violations = []
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(n):
-                    if self.constants[i][j][k] != self.constants[j][i][k]:
+                    if c[i][j][k] != c[j][i][k]:
                         violations.append(f"commutativity: c[{i}][{j}][{k}] != c[{j}][{i}][{k}]")
+        basis = [self.basis_vector(i) for i in range(n)]
         for i in range(n):
-            ei = self.basis_vector(i)
             for j in range(n):
-                eij = self.vec_mul(ei, self.basis_vector(j))
                 for k in range(n):
-                    left = self.vec_mul(eij, self.basis_vector(k))
-                    right = self.vec_mul(ei, self.vec_mul(self.basis_vector(j), self.basis_vector(k)))
-                    if left != right:
+                    if self.vec_mul(c[i][j], basis[k]) != self.vec_mul(basis[i], c[j][k]):
                         violations.append(f"associativity: (e{i}*e{j})*e{k} != e{i}*(e{j}*e{k})")
         for i in range(n):
-            if self.vec_mul(self.identity, self.basis_vector(i)) != self.basis_vector(i):
+            if self.vec_mul(self.identity, basis[i]) != basis[i]:
                 violations.append(f"identity: 1*e{i} != e{i}")
-        if not violations:
-            self._validated = True
         return violations
-
-    def require_valid(self):
-        if self._validated:
-            return self
-        violations = self.validate()
-        if violations:
-            raise ValidationError(violations)
-        return self
 
     # -- transformations
 
@@ -157,13 +163,8 @@ class StructureAlgebra:
             raise NotIntegerBase("reduction mod p needs base Z")
         if not is_prime(p):
             raise MonogenError(f"{p} is not prime")
-        reduced = StructureAlgebra(
-            Fp(p), self.rank, self.constants, self.identity, label=f"{self.label} mod {p}"
-        )
-        # The ring axioms are integer identities in the structure constants,
-        # so they survive reduction mod p.
-        reduced._validated = self._validated
-        return reduced
+        label = f"{self.label} mod {p}"
+        return self._derived(Fp(p), self.rank, self.constants, self.identity, label)
 
     def change_basis(self, U) -> "StructureAlgebra":
         """New basis e'_i = sum_a U[i][a] e_a; U must be unimodular over Z."""
@@ -191,23 +192,18 @@ class StructureAlgebra:
         rows = [tuple(base.coerce(x) for x in row) for row in U]
         new_constants = [[new_coords(self.vec_mul(a, b)) for b in rows] for a in rows]
         new_identity = new_coords(self.identity)
-        return StructureAlgebra(
-            base, n, new_constants, new_identity, label=f"{self.label} (basis changed)"
-        )
+        return self._derived(base, n, new_constants, new_identity, f"{self.label} (basis changed)")
 
     def discriminant(self) -> int:
-        """det of the trace-pairing Gram matrix Tr(e_i e_j); base Z only."""
+        """det of the trace-pairing Gram matrix Tr(e_i e_j); base Z only.
+
+        Tr(e_k) = sum_l c[k][l][l], and Tr(e_i e_j) = sum_k c[i][j][k] Tr(e_k).
+        """
         if self.base.kind != "Z":
             raise NotIntegerBase("discriminant needs base Z")
-        self.require_valid()
-        n = self.rank
-        gram = [
-            [
-                self.trace(self.vec_mul(self.basis_vector(i), self.basis_vector(j)))
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
+        c, n = self.constants, self.rank
+        traces = [sum(c[k][j][j] for j in range(n)) for k in range(n)]
+        gram = [[sum(x * t for x, t in zip(c[i][j], traces)) for j in range(n)] for i in range(n)]
         return int_determinant(gram)
 
     def identity_basis_index(self):
@@ -355,9 +351,7 @@ class OrderPresentation:
                     "1 is not in the integer span of the basis"
                 )
             identity.append(int(c))
-        alg = StructureAlgebra(ZZ, n, constants, identity, label=label)
-        alg.require_valid()
-        return alg
+        return StructureAlgebra(ZZ, n, constants, identity, label=label)
 
     def to_json(self):
         return {
@@ -384,6 +378,4 @@ def split_algebra(n: int, label: str = "") -> StructureAlgebra:
         [[1 if i == j == k else 0 for k in range(n)] for j in range(n)]
         for i in range(n)
     ]
-    alg = StructureAlgebra(ZZ, n, constants, [1] * n, label=label or f"Z^{n}")
-    alg.require_valid()
-    return alg
+    return StructureAlgebra(ZZ, n, constants, [1] * n, label=label or f"Z^{n}")

@@ -88,7 +88,6 @@ def nilradical(alg: StructureAlgebra):
     Kernel of x -> x^(p^m) with p^m >= n; that map is F_p-linear because
     Frobenius is.
     """
-    alg.require_valid()
     if alg.base.kind != "Fp":
         raise InvalidAlgebra("nilradical needs base F_p")
     p, n = alg.base.p, alg.rank
@@ -154,7 +153,6 @@ def decompose(alg: StructureAlgebra) -> ArtinDecomposition:
     Deterministic: primitive idempotents are unique, and the factors are
     sorted by (dimension, residue degree, tangent dimension, idempotent).
     """
-    alg.require_valid()
     if alg.base.kind != "Fp":
         raise InvalidAlgebra("decomposition needs base F_p")
     p, n = alg.base.p, alg.rank

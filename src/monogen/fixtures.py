@@ -40,7 +40,6 @@ def load_algebra_json(doc, label_hint: str = "") -> StructureAlgebra:
         raise
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"malformed input: {exc}") from exc
-    alg.require_valid()
     return alg
 
 

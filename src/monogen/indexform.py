@@ -23,7 +23,6 @@ def matrix_of_coefficients(alg: StructureAlgebra):
     Multiplication by theta sends a_i e_i to a_i * sum_j c_ijk x_j in
     coordinate k, so each nonzero linear form sum_j c_ijk x_j is packed once.
     """
-    alg.require_valid()
     base, n = alg.base, alg.rank
     width = max((n - 1).bit_length(), 1)
     times_theta = []
@@ -77,7 +76,6 @@ class IndexForm:
 
 def index_form(alg: StructureAlgebra) -> IndexForm:
     """Determinant of the matrix of coefficients, sign-normalized."""
-    alg.require_valid()
     n = alg.rank
     if n == 1:
         form = SparsePoly.constant(alg.base, 1, 1)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import NotIntegerBase, ZeroIndexForm
-from .exactring import content_primes, is_prime
+from .exactring import Fp, FpX, content_primes, is_prime
 from .algebra import StructureAlgebra
 from .indexform import IndexForm, index_form
 from . import artin
@@ -130,15 +130,17 @@ def local_obstruction_primes(
 ):
     """Primes p <= bound where the form never takes the values +-1 mod p.
 
-    Any such prime rules out a global monogenerator even when no common
-    index divisor exists.
+    The values lie in F_p, or in F_p[t] for a form over Z[t].  Any such
+    prime rules out a global monogenerator even when no common index
+    divisor exists.
     """
+    fiber = FpX if form.form.base.is_polynomial else Fp
     out = []
     for p in range(2, bound + 1):
         if not is_prime(p):
             continue
-        vals = value_set_mod_p(form, p, cap)
-        if 1 not in vals and (p - 1) % p not in vals:
+        base, vals = fiber(p), value_set_mod_p(form, p, cap)
+        if base.one not in vals and base.neg(base.one) not in vals:
             out.append(p)
     return out
 
@@ -209,7 +211,6 @@ def classify(
     """Aggregate every verdict for an integer algebra."""
     _require_z(alg)
     check_height(height)
-    alg.require_valid()
     form = index_form(alg)
     geo = geometric_point_verdict(alg, form)
     verdicts = _prime_verdicts(alg, cap, form, geo["vanishing_fiber_primes"])

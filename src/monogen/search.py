@@ -127,7 +127,6 @@ def search_monogenerators(
     if alg.base.kind != "Z":
         raise NotIntegerBase("monogenerator search needs base Z")
     check_height(height)
-    alg.require_valid()
     if form is None:
         form = index_form(alg)
     values = range(-height, height + 1)

@@ -49,6 +49,8 @@ def random_unimodular(rng, n, fix_first_row=False):
     """Product of random elementary matrices; det is +-1 by construction."""
     U = [[int(i == j) for j in range(n)] for i in range(n)]
     start = 1 if fix_first_row else 0
+    if start == n:
+        return U  # no row may move
     for _ in range(2 * n):
         i = rng.randrange(start, n)
         j = rng.randrange(n)
@@ -71,7 +73,7 @@ def random_algebra(rng, max_rank=4, keep_identity_first=True):
     if rng.random() < 0.5:
         U = random_unimodular(rng, n, fix_first_row=keep_identity_first)
         alg = alg.change_basis(U)
-        alg.require_valid()
+        assert alg.validate() == []
     return alg
 
 

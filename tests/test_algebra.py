@@ -30,19 +30,32 @@ class TestValidate:
         assert alg.validate() == []
         assert alg.identity == (1, 1, 1)
 
-    def test_commutativity_violation_reported(self):
-        constants = [
-            [[1, 0], [0, 1]],
-            [[0, 0], [0, 0]],  # c[1][0] != c[0][1]
-        ]
-        alg = StructureAlgebra(ZZ, 2, constants, [1, 0])
-        violations = alg.validate()
-        assert any("commutativity" in v for v in violations)
-
-    def test_require_valid_raises(self):
-        constants = [[[1, 0], [0, 1]], [[0, 0], [0, 0]]]
-        with pytest.raises(ValidationError):
-            StructureAlgebra(ZZ, 2, constants, [1, 0]).require_valid()
+    @pytest.mark.parametrize(
+        "kind, rank, constants, identity",
+        [
+            # e0 * e1 = e1 but e1 * e0 = 0
+            ("commutativity", 2, [[[1, 0], [0, 1]], [[0, 0], [0, 0]]], [1, 0]),
+            # e1 * e1 = e2, e1 * e2 = 0, e2 * e2 = e2: (e1 e1) e2 = e2 but e1 (e1 e2) = 0
+            (
+                "associativity",
+                3,
+                [
+                    [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                    [[0, 1, 0], [0, 0, 1], [0, 0, 0]],
+                    [[0, 0, 1], [0, 0, 0], [0, 0, 1]],
+                ],
+                [1, 0, 0],
+            ),
+            # Z^2 with the idempotent e0 given as 1
+            ("identity", 2, [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], [1, 0]),
+        ],
+        ids=["commutativity", "associativity", "identity"],
+    )
+    def test_construction_raises_on_violation(self, kind, rank, constants, identity):
+        with pytest.raises(ValidationError) as err:
+            StructureAlgebra(ZZ, rank, constants, identity)
+        violations = err.value.violations
+        assert violations and {v.split(":")[0] for v in violations} == {kind}
 
 
 class TestOrderPresentation:
@@ -97,18 +110,18 @@ class TestReduceModP:
             assert alg.validate() == []
             assert alg.reduce_mod_p(p).validate() == [], (alg.label, p)
 
-    def test_reduction_inherits_validation(self, monkeypatch):
-        validated = gaussian_order()  # to_algebra validates
-        fresh = StructureAlgebra(ZZ, 2, validated.constants, validated.identity, label="Z[i]")
+    def test_reduction_and_change_basis_skip_validation(self, monkeypatch):
         calls = []
         original = StructureAlgebra.validate
         monkeypatch.setattr(
             StructureAlgebra, "validate", lambda self: calls.append(self.label) or original(self)
         )
-        validated.reduce_mod_p(3).require_valid()
-        assert calls == []
-        fresh.reduce_mod_p(3).require_valid()
-        assert calls == ["Z[i] mod 3"]
+        alg = gaussian_order()
+        assert calls == ["Z[i]"]
+        alg.reduce_mod_p(3)
+        alg.change_basis([[1, 1], [0, 1]])
+        alg.reduce_mod_p(3).change_basis([[1, 1], [0, 1]])
+        assert calls == ["Z[i]"]
 
 
 class TestChangeBasis:
@@ -211,7 +224,7 @@ class TestDiscriminant:
             alg = power_basis_algebra(random_monic(rng, n))
             U = random_unimodular(rng, n)
             changed = alg.change_basis(U)
-            changed.require_valid()
+            assert changed.validate() == []
             assert changed.discriminant() == alg.discriminant()
 
 

@@ -52,6 +52,24 @@ class TestCommands:
         code, out, _ = run(capsys, "validate", fixture_path("gaussian_integers"))
         assert code == 0 and "ok" in out
 
+    def test_validate_reports_violations(self, capsys, tmp_path):
+        # e0*e1 = e1 but e1*e0 = 0, and the given 1 = e1 kills both basis elements
+        doc = {"algebra": {"base": {"kind": "Z"}, "rank": 2,
+                           "constants": [[[1, 0], [0, 1]], [[0, 0], [0, 0]]],
+                           "identity": [0, 1]}}
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(doc))
+        violations = [
+            "commutativity: c[0][1][1] != c[1][0][1]",
+            "identity: 1*e0 != e0",
+            "identity: 1*e1 != e1",
+        ]
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out, err) == (1, "".join(f"violated: {v}\n" for v in violations), "")
+        code, out, err = run(capsys, "validate", str(path), "--json")
+        assert code == 1 and err == ""
+        assert out == json.dumps({"ok": False, "violations": violations}) + "\n"
+
     def test_index_form_text(self, capsys):
         code, out, _ = run(capsys, "index-form", fixture_path("cbrt175"))
         assert code == 0

@@ -133,6 +133,12 @@ class TestValueSets:
         form = index_form(alg)
         assert value_set_mod_p(form, p) == {value for _, value in full_scan(form, p)}
 
+    @pytest.mark.parametrize("name", ["elliptic_chart", "p1_squaring_chart"])
+    def test_base_zt_obstruction_tests_units_of_fp_t(self, corpus, name):
+        # both forms take the value 1 at x2 = 1, x3 = 0, so no prime obstructs
+        alg = next(a for n, a, _ in corpus if n == name)
+        assert local_obstruction_primes(index_form(alg), bound=13) == []
+
     def test_budget_names_the_stage(self):
         form = index_form(dedekind_order())
         cap_message = r"\^2 exceeds the enumeration cap "
@@ -232,9 +238,7 @@ def conductor_orders(draw, ranks=(3, 4)):
         .filter(lambda c: discriminant(Poly(c[::-1], x)) != 0)
     )
     m = draw(st.integers(1, 15))
-    U = [[1]]
-    if n > 1:
-        U = random_unimodular(draw(st.randoms(use_true_random=False)), n, fix_first_row=True)
+    U = random_unimodular(draw(st.randoms(use_true_random=False)), n, fix_first_row=True)
     scale = [1] + [m] * (n - 1)
     basis = [[u * d for u, d in zip(row, scale)] for row in U]
     return OrderPresentation(f, basis).to_algebra(f"Z + {m}*Z[theta]"), m
