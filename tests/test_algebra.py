@@ -30,6 +30,21 @@ class TestValidate:
         assert alg.validate() == []
         assert alg.identity == (1, 1, 1)
 
+    def test_commutativity_violation_reported(self):
+        constants = [
+            [[1, 0], [0, 1]],
+            [[0, 0], [0, 0]],  # c[1][0] != c[0][1]
+        ]
+        with pytest.raises(ValidationError) as err:
+            StructureAlgebra(ZZ, 2, constants, [1, 0])
+        assert any("commutativity" in v for v in err.value.violations)
+
+    def test_require_valid_raises(self):
+        # An invalid table is refused when it is built, not on first use.
+        constants = [[[1, 0], [0, 1]], [[0, 0], [0, 0]]]
+        with pytest.raises(ValidationError):
+            StructureAlgebra(ZZ, 2, constants, [1, 0])
+
     @pytest.mark.parametrize(
         "kind, rank, constants, identity",
         [
