@@ -289,7 +289,9 @@ class OrderPresentation:
     """
 
     def __init__(self, minpoly, basis):
-        self.minpoly = [int(c) for c in minpoly]
+        if any(isinstance(c, bool) or not isinstance(c, int) for c in minpoly):
+            raise MonogenError(f"minimal polynomial coefficients must be integers, got {minpoly!r}")
+        self.minpoly = list(minpoly)
         n = len(self.minpoly) - 1
         if n < 1 or self.minpoly[-1] != 1:
             raise NonMonic("minimal polynomial must be monic of degree >= 1")

@@ -2,7 +2,9 @@
 
 Computes the nilradical, splits the algebra into local factors through
 its Frobenius-fixed subalgebra, and applies the tangent-dimension and
-point-counting criteria for fiber monogenicity.  Serves as an oracle
+point-counting criteria for fiber monogenicity.  The eigenvalues that
+separate the factors are found by Berlekamp's root splitting, so the
+cost does not grow with p.  Serves as an oracle
 independent of brute-force index-form enumeration.
 """
 
@@ -125,8 +127,9 @@ def _split(alg, e, b):
     """Projectors of e*A onto the eigenspaces of b*e.
 
     b is a combination of primitive idempotents, so its minimal polynomial
-    in e*A has distinct roots in F_p, and the Lagrange polynomial at each
-    root, evaluated at b*e, is the projector onto that root's eigenspace.
+    in e*A has distinct roots in F_p (found by Berlekamp's root splitting),
+    and the Lagrange polynomial at each root, evaluated at b*e, is the
+    projector onto that root's eigenspace.
     """
     p = alg.base.p
     be = alg.vec_mul(b, e)

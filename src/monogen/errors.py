@@ -13,10 +13,6 @@ class BaseRingMismatch(MonogenError):
     pass
 
 
-class InexactDivision(MonogenError):
-    pass
-
-
 class NonSquare(MonogenError):
     pass
 

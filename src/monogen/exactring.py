@@ -2,8 +2,9 @@
 
 Base rings (Z, F_p, Z[t], F_p[t]), sparse multivariate polynomials in
 graded-lex canonical form, symbolic and integer determinants, row
-reduction over F_p, univariate factorization over F_p, necklace counts,
-and integer-polynomial discriminants.
+reduction over F_p, roots over F_p by Berlekamp's splitting (cost
+polynomial in log p, not a walk over F_p), necklace counts, and
+integer-polynomial discriminants.
 
 Element encodings per base ring:
   Z    -> python int
@@ -21,10 +22,10 @@ from .errors import (
     ArityMismatch,
     BaseRingMismatch,
     BudgetExceeded,
-    InexactDivision,
     MonogenError,
     NonMonic,
     NonSquare,
+    SplitFailure,
     ZeroPolynomial,
 )
 
@@ -862,12 +863,6 @@ class UniPolyFp:
             and self.coeffs == other.coeffs
         )
 
-    def __hash__(self):
-        return hash((self.p, self.coeffs))
-
-    def __add__(self, other):
-        return self._wrap(_tup_add(self.coeffs, other.coeffs, self.p))
-
     def __sub__(self, other):
         return self._wrap(_tup_add(self.coeffs, _tup_neg(other.coeffs, self.p), self.p))
 
@@ -908,11 +903,6 @@ class UniPolyFp:
             a, b = b, a % b
         return a.monic()
 
-    def derivative(self):
-        return self._wrap(
-            (i * c) % self.p for i, c in enumerate(self.coeffs) if i > 0
-        )
-
     def pow_mod(self, k: int, mod):
         out = self._wrap((1,))
         b = self % mod
@@ -923,15 +913,6 @@ class UniPolyFp:
             k >>= 1
         return out
 
-    def exact_div(self, other):
-        q, r = self.divmod(other)
-        if not r.is_zero:
-            raise InexactDivision("nonzero remainder")
-        return q
-
-    def sort_key(self):
-        return (self.degree, tuple(reversed(self.coeffs)))
-
     def text(self, var: str = "x") -> str:
         return BaseRing("FpX", self.p).format_elem(self.coeffs, var)
 
@@ -939,115 +920,37 @@ class UniPolyFp:
         return f"UniPolyFp(p={self.p}, {self.text()})"
 
 
-def _squarefree_decomposition(f: UniPolyFp):
-    """Char-p squarefree decomposition of monic f: list of (g_i, multiplicity)."""
-    p = f.p
-    out = {}
-
-    def add(g, mult):
-        if g.degree >= 1:
-            out[g] = out.get(g, 0) + mult
-
-    def recurse(f, outer):
-        if f.degree < 1:
-            return
-        d = f.derivative()
-        if d.is_zero:
-            # f = g(x^p); p-th root: Frobenius fixes F_p, so just deflate
-            g = UniPolyFp(p, f.coeffs[::p])
-            recurse(g, outer * p)
-            return
-        c = f.gcd(d)
-        w = f.exact_div(c)
-        i = 1
-        while w.degree >= 1:
-            y = w.gcd(c)
-            z = w.exact_div(y)
-            if z.degree >= 1:
-                add(z, outer * i)
-            w = y
-            c = c.exact_div(y)
-            i += 1
-        recurse(c, outer)  # remaining part is a p-th power
-
-    recurse(f.monic(), 1)
-    return list(out.items())
-
-
-# Berlekamp splits a factor u by gcd(u, v - c) for c = 0, 1, ...; over a
-# large F_p that walk gives up after this many constants.
-BERLEKAMP_SCAN_CAP = 10**7
-
-
-def _berlekamp_squarefree(f: UniPolyFp):
-    """Factor a squarefree monic f via Berlekamp's kernel plus gcd splitting."""
-    p = f.p
-    n = f.degree
-    if n <= 1:
-        return [f]
-    x = UniPolyFp(p, (0, 1))
-    xp = x.pow_mod(p, f)
-    # rows of (Q - I): image of x^i under Frobenius, minus x^i
-    rows = []
-    power = UniPolyFp(p, (1,))
-    for i in range(n):
-        coeffs = list(power.coeffs) + [0] * (n - len(power.coeffs))
-        coeffs[i] = (coeffs[i] - 1) % p
-        rows.append(coeffs)
-        power = (power * xp) % f
-    kernel = fp_kernel(list(zip(*rows)), p)
-    r = len(kernel)
-    if r == 1:
-        return [f]
-    factors = [f]
-    for v in kernel:
-        if len(factors) >= r:
-            break
-        vp = UniPolyFp(p, v)
-        if vp.degree < 1:
-            continue
-        new = []
-        for u in factors:
-            if u.degree <= 1:
-                new.append(u)
-                continue
-            pieces = []
-            rest = u
-            for c in range(p):
-                if rest.degree <= 1:  # a linear factor is irreducible
-                    break
-                if c == BERLEKAMP_SCAN_CAP:
-                    raise BudgetExceeded(
-                        f"Berlekamp splitting over F_{p} tried {c} constants without "
-                        f"separating the factors"
-                    )
-                g = rest.gcd(vp - vp._wrap((c,)))
-                if 1 <= g.degree:
-                    pieces.append(g)
-                    rest = rest.exact_div(g)
-            if rest.degree >= 1:
-                pieces.append(rest)
-            new.extend(pieces if pieces else [u])
-        factors = new
-    return factors
-
-
 def berlekamp_factor(f: UniPolyFp):
-    """Complete factorization of monic f over F_p.
+    """The roots of a monic f over F_p that splits into distinct linear factors.
 
-    Returns [(irreducible monic factor, multiplicity)], sorted by degree
-    then coefficient tuple.
+    Returns [(x - r, 1)] sorted by coefficient tuple.  Raises SplitFailure
+    unless x^p = x mod f, that is, unless the roots of f are distinct and
+    all in F_p.  Berlekamp's root splitting (1970): each piece g parts at
+    gcd(g, (x + a)^e - 1), e = max((p - 1)/2, 1), for a = 0, 1, 2, ...
+    until every piece is linear.  Two roots r, s part at the first a where
+    exactly one of r + a, s + a is a nonzero square, which comes at some
+    a < p and in practice within a few steps; each step costs O(log p)
+    products of polynomials of degree below deg f, not a walk over F_p.
     """
     if f.is_zero:
         raise ZeroPolynomial("cannot factor the zero polynomial")
     if not f.is_monic:
         raise NonMonic("factorization requires a monic input")
-    out = {}
-    for g, mult in _squarefree_decomposition(f):
-        for irr in _berlekamp_squarefree(g):
-            irr = irr.monic()
-            out[irr] = out.get(irr, 0) + mult
-    return sorted(out.items(), key=lambda kv: kv[0].sort_key())
+    p = f.p
+    x = f._wrap((0, 1))
+    if f.degree >= 1 and x.pow_mod(p, f) != x % f:
+        raise SplitFailure(f"{f.text()} has a repeated root or a root outside F_{p}")
+    e = max((p - 1) // 2, 1)
+    one = f._wrap((1,))
+    pieces, a = [f], 0
+    while any(g.degree > 1 for g in pieces):
+        shift = f._wrap((a, 1))
+        split = []
+        for g in pieces:
+            h = g.gcd(shift.pow_mod(e, g) - one) if g.degree > 1 else g
+            split += [h, g.divmod(h)[0]] if 0 < h.degree < g.degree else [g]
+        pieces, a = split, a + 1
+    return sorted(((g, 1) for g in pieces if g.degree), key=lambda gm: gm[0].coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,9 @@ def parse_input(path) -> StructureAlgebra:
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ParseError(f"{path}: cannot read: {exc.strerror}") from exc
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     return load_algebra_json(doc, label_hint=path.stem)
 

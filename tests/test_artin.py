@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +8,7 @@ from sympy import Poly, Symbol
 
 from monogen import artin
 from monogen.algebra import OrderPresentation, StructureAlgebra, power_basis_algebra, split_algebra
-from monogen.exactring import Fp
+from monogen.exactring import Fp, ZZ
 from monogen.artin import (
     LocalFactor,
     decompose,
@@ -236,6 +237,22 @@ class TestFrobeniusSplitting:
         monkeypatch.setattr(artin, "berlekamp_factor", fail)
         assert len(decompose(gaussian_order().reduce_mod_p(2)).factors) == 1
         assert len(decompose(fp_quotient(7, [0, 0, 0, 1])).factors) == 1
+
+    def test_non_local_fiber_beyond_2_31(self):
+        # Z x (Z + p*Z[i]) at p = 2147483659 in a skewed basis: the eigenvalues
+        # of the Frobenius-fixed element lie far from 0 in F_p
+        p = 2147483659
+        zero = [0, 0, 0]
+        constants = [[[1, 0, 0], zero, zero],
+                     [zero, [0, 1, 0], [0, 0, 1]],
+                     [zero, [0, 0, 1], [0, -p * p, 0]]]
+        alg = StructureAlgebra(ZZ, 3, constants, [1, 1, 0])
+        fiber = alg.change_basis([[1, -2, 3], [0, 1, -2], [0, 0, 1]]).reduce_mod_p(p)
+        start = time.perf_counter()
+        dec = decompose(fiber)
+        assert time.perf_counter() - start < 1
+        assert factor_data(dec) == [(1, 1, 0, 1), (2, 1, 1, 2)]
+        assert fiber_monogenic(dec)
 
 
 class TestMonogenicityCriteria:

@@ -164,6 +164,26 @@ class TestCommands:
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == "ParseError"
 
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+    def test_unreadable_input_exit_1(self, capsys, tmp_path, kind):
+        path = tmp_path / "input.json"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not_utf8":
+            path.write_bytes(b'{"label": "\xff"}')
+        code, out, err = run(capsys, "classify", str(path), "--json")
+        assert code == 1 and out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "ParseError" and str(path) in doc["message"]
+
+    def test_fractional_minpoly_coefficient_exit_1(self, capsys, tmp_path):
+        # -2.5 must not be read as -2, which would print the index form x2 of Z[sqrt 2]
+        path = tmp_path / "fractional.json"
+        path.write_text(json.dumps({"order": {"minpoly": [-2.5, 0, 1], "basis": [[1, 0], [0, 1]]}}))
+        code, out, err = run(capsys, "index-form", str(path), "--json")
+        assert code == 1 and out == ""
+        assert "integers" in json.loads(err)["message"]
+
     @pytest.mark.parametrize("command", ["search", "classify"])
     def test_negative_height_exit_1(self, capsys, command):
         code, out, err = run(capsys, command, fixture_path("gaussian_integers"), "--height", "-1")

@@ -1,8 +1,11 @@
 import random
+import time
+import warnings
 from math import prod
 
 import pytest
 import sympy
+from sympy.utilities.exceptions import SymPyDeprecationWarning
 from hypothesis import given, settings, strategies as st
 
 from monogen.algebra import split_algebra
@@ -13,6 +16,7 @@ from monogen.errors import (
     MonogenError,
     NonMonic,
     NonSquare,
+    SplitFailure,
     ZeroPolynomial,
 )
 from monogen.exactring import (
@@ -35,7 +39,6 @@ from monogen.exactring import (
     necklace_count,
 )
 from monogen.indexform import matrix_of_coefficients
-from monogen import exactring
 from conftest import random_fp_matrix, sympy_gf_matrix, sympy_irreducible
 
 
@@ -331,40 +334,43 @@ class TestContentPrimes:
             )
 
 
+def sympy_split_roots(p, coeffs):
+    """The roots of f over F_p if sympy factors it into distinct linear factors, else None."""
+    x = sympy.Symbol("x")
+    expr = sum(co * x**i for i, co in enumerate(coeffs))
+    with warnings.catch_warnings():
+        # sympy sorts equal-degree factors by comparing GF(p) elements, which it deprecates
+        warnings.simplefilter("ignore", SymPyDeprecationWarning)
+        factors = sympy.factor_list(expr, x, modulus=p)[1]
+    if any(m != 1 or sympy.Poly(g, x).degree() != 1 for g, m in factors):
+        return None
+    return sorted(-int(sympy.Poly(g, x).all_coeffs()[1]) % p for g, _ in factors)
+
+
+def roots_of(factors, p):
+    assert all(m == 1 and g.degree == 1 and g.is_monic for g, m in factors)
+    assert [g.coeffs for g, _ in factors] == sorted(g.coeffs for g, _ in factors)
+    return sorted(-g.coeffs[0] % p for g, _ in factors)
+
+
 class TestBerlekamp:
     def test_char2_square(self):
-        fs = berlekamp_factor(UniPolyFp(2, (1, 0, 1)))
-        assert fs == [(UniPolyFp(2, (1, 1)), 2)]
+        # x^2 + 1 = (x + 1)^2 over F_2: a repeated root
+        with pytest.raises(SplitFailure):
+            berlekamp_factor(UniPolyFp(2, (1, 0, 1)))
 
     def test_mod5_split(self):
         fs = berlekamp_factor(UniPolyFp(5, (1, 0, 1)))
         assert fs == [(UniPolyFp(5, (2, 1)), 1), (UniPolyFp(5, (3, 1)), 1)]
 
     def test_dedekind_minpoly_mod2(self):
-        # x^3 - x^2 - 2x - 8 = x^2 (x+1) mod 2: roots 0 (double) and 1
-        fs = berlekamp_factor(UniPolyFp(2, (0, 0, 1, 1)))
-        assert fs == [(UniPolyFp(2, (0, 1)), 2), (UniPolyFp(2, (1, 1)), 1)]
+        # x^3 - x^2 - 2x - 8 = x^2 (x+1) mod 2: the root 0 is double
+        with pytest.raises(SplitFailure):
+            berlekamp_factor(UniPolyFp(2, (0, 0, 1, 1)))
 
     def test_zero_raises(self):
         with pytest.raises(ZeroPolynomial):
             berlekamp_factor(UniPolyFp(3, ()))
-
-    def test_constant_scan_budget(self, monkeypatch):
-        # (x - 300)(x - 400) over F_1009: the gcd walk over constants must reach 300
-        f = UniPolyFp(1009, (300 * 400, -700, 1))
-        roots = sorted(-g.coeffs[0] % 1009 for g, _ in berlekamp_factor(f))
-        assert roots == [300, 400]
-        monkeypatch.setattr(exactring, "BERLEKAMP_SCAN_CAP", 250)
-        with pytest.raises(BudgetExceeded, match="Berlekamp splitting over F_1009"):
-            berlekamp_factor(f)
-
-    def test_constant_scan_stops_at_a_linear_rest(self, monkeypatch):
-        # (x - 200)(x - 300) over F_1009: once x - 200 splits off at c = 200,
-        # the rest x - 300 is linear and the walk stops
-        monkeypatch.setattr(exactring, "BERLEKAMP_SCAN_CAP", 201)
-        f = UniPolyFp(1009, (200 * 300, -500, 1))
-        roots = sorted(-g.coeffs[0] % 1009 for g, _ in berlekamp_factor(f))
-        assert roots == [200, 300]
 
     def test_non_monic_raises(self):
         with pytest.raises(NonMonic):
@@ -374,35 +380,41 @@ class TestBerlekamp:
     def test_random_factorizations_multiply_back(self, p):
         rng = random.Random(100 + p)
         for _ in range(25):
-            deg = rng.randint(1, 8)
-            coeffs = [rng.randrange(p) for _ in range(deg)] + [1]
-            f = UniPolyFp(p, coeffs)
+            roots = rng.sample(range(p), rng.randint(1, p))
+            f = UniPolyFp(p, (1,))
+            for r in roots:
+                f = f * UniPolyFp(p, (-r, 1))
+            fs = berlekamp_factor(f)
+            assert roots_of(fs, p) == sorted(roots) == sympy_split_roots(p, f.coeffs)
             prod = UniPolyFp(p, (1,))
-            for g, mult in berlekamp_factor(f):
-                assert g.is_monic and sympy_irreducible(p, g.coeffs)
-                for _ in range(mult):
-                    prod = prod * g
+            for g, _ in fs:
+                prod = prod * g
             assert prod == f
 
     def test_against_sympy(self):
         rng = random.Random(42)
-        x = sympy.Symbol("x")
-        for p in (2, 3, 5):
-            for _ in range(10):
-                deg = rng.randint(2, 6)
+        split = 0
+        for p in (2, 3, 5, 7):
+            for _ in range(40):
+                deg = rng.randint(1, 6)
                 coeffs = [rng.randrange(p) for _ in range(deg)] + [1]
-                ours = {
-                    (g.coeffs, m): None for g, m in berlekamp_factor(UniPolyFp(p, coeffs))
-                }
-                expr = sum(co * x**i for i, co in enumerate(coeffs))
-                theirs = sympy.factor_list(sympy.Poly(expr, x, modulus=p))[1]
-                converted = {}
-                for poly, m in theirs:
-                    cs = tuple(
-                        int(co) % p for co in reversed(sympy.Poly(poly, x).all_coeffs())
-                    )
-                    converted[(cs, m)] = None
-                assert ours == converted
+                theirs = sympy_split_roots(p, coeffs)
+                if theirs is None:
+                    with pytest.raises(SplitFailure):
+                        berlekamp_factor(UniPolyFp(p, coeffs))
+                else:
+                    split += 1
+                    assert roots_of(berlekamp_factor(UniPolyFp(p, coeffs)), p) == theirs
+        assert 0 < split < 160
+
+    @pytest.mark.parametrize("p", [2147483659, 2**61 - 1])
+    def test_large_prime_roots_without_a_walk(self, p):
+        # the roots p - 5 and p - 7 lie far from 0, where a walk over F_p would start
+        f = UniPolyFp(p, (35, 12, 1))
+        start = time.perf_counter()
+        fs = berlekamp_factor(f)
+        assert time.perf_counter() - start < 0.1
+        assert fs == [(UniPolyFp(p, (5, 1)), 1), (UniPolyFp(p, (7, 1)), 1)]
 
 
 class TestNecklaceCount:
