@@ -5,7 +5,6 @@ from .exactring import (
     Fp,
     FpX,
     SparsePoly,
-    UniPolyFp,
     ZX,
     ZZ,
     berlekamp_factor,

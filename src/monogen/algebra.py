@@ -28,6 +28,8 @@ from .exactring import (
     BaseRing,
     Fp,
     ZZ,
+    _tup_divmod,
+    _tup_mul,
     fp_rref,
     int_determinant,
     is_prime,
@@ -289,7 +291,7 @@ class OrderPresentation:
     """
 
     def __init__(self, minpoly, basis):
-        if any(isinstance(c, bool) or not isinstance(c, int) for c in minpoly):
+        if any(type(c) is not int for c in minpoly):
             raise MonogenError(f"minimal polynomial coefficients must be integers, got {minpoly!r}")
         self.minpoly = list(minpoly)
         n = len(self.minpoly) - 1
@@ -299,24 +301,6 @@ class OrderPresentation:
         self.basis = [[Fraction(x) for x in row] for row in basis]
         if len(self.basis) != n or any(len(row) != n for row in self.basis):
             raise SingularBasisMatrix("basis matrix must be n x n")
-
-    def _mulmod(self, a, b):
-        """Product in Q[eta]/(minpoly), dense rational coefficient lists."""
-        n = self.n
-        out = [Fraction(0)] * (2 * n - 1)
-        for i, u in enumerate(a):
-            if u == 0:
-                continue
-            for j, v in enumerate(b):
-                out[i + j] += u * v
-        for d in range(2 * n - 2, n - 1, -1):
-            c = out[d]
-            if c == 0:
-                continue
-            out[d] = Fraction(0)
-            for j in range(n):
-                out[d - n + j] -= c * self.minpoly[j]
-        return out[:n]
 
     def to_algebra(self, label: str = "") -> StructureAlgebra:
         """Structure constants of the module spanned by the basis rows.
@@ -329,10 +313,8 @@ class OrderPresentation:
         constants = [[[0] * n for _ in range(n)] for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                prod = self._mulmod(self.basis[i], self.basis[j])
-                coords = [
-                    sum(prod[a] * Tinv[a][k] for a in range(n)) for k in range(n)
-                ]
+                prod = _tup_divmod(_tup_mul(self.basis[i], self.basis[j]), self.minpoly)[1]
+                coords = [sum(c * Tinv[a][k] for a, c in enumerate(prod)) for k in range(n)]
                 ints = []
                 for k, c in enumerate(coords):
                     if c.denominator != 1:

@@ -13,13 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidAlgebra, SplitFailure
-from .exactring import (
-    UniPolyFp,
-    berlekamp_factor,
-    fp_kernel,
-    fp_rref,
-    necklace_count,
-)
+from .exactring import berlekamp_factor, fp_kernel, fp_rref, necklace_count
 from .algebra import StructureAlgebra
 
 
@@ -137,8 +131,7 @@ def _split(alg, e, b):
     while (sol := solve_linear(powers, cur, p)) is None:
         powers.append(cur)
         cur = alg.vec_mul(cur, be)
-    minpoly = UniPolyFp(p, [-c for c in sol] + [1])
-    roots = [-g.coeffs[0] % p for g, _ in berlekamp_factor(minpoly)]
+    roots = berlekamp_factor([-c for c in sol] + [1], p)
     projectors = []
     for c in roots:
         proj = e

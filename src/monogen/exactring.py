@@ -4,7 +4,9 @@ Base rings (Z, F_p, Z[t], F_p[t]), sparse multivariate polynomials in
 graded-lex canonical form, symbolic and integer determinants, row
 reduction over F_p, roots over F_p by Berlekamp's splitting (cost
 polynomial in log p, not a walk over F_p), necklace counts, and
-integer-polynomial discriminants.
+integer-polynomial discriminants.  Univariate polynomials are dense
+tuples, constant term first, and the _tup_* helpers are their only
+arithmetic: over Z and Q (Fractions), or over F_p when given p.
 
 Element encodings per base ring:
   Z    -> python int
@@ -159,7 +161,7 @@ def _pollard_brent(n: int, budget: int | None = None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# dense univariate helpers over Z (tuples, constant first)
+# dense univariate helpers over Z, Q and F_p (tuples, constant first)
 
 
 def _tup_trim(c):
@@ -201,6 +203,39 @@ def _tup_mul(a, b, p=None):
     return _tup_trim(out)
 
 
+def _tup_divmod(a, f, p=None):
+    """(q, r) with a = q*f + r and deg r < deg f, for a monic f; over F_p when p is given."""
+    n = len(f) - 1
+    rem = list(a)
+    q = [0] * max(len(rem) - n, 0)
+    for k in reversed(range(len(q))):
+        c = q[k] = rem[k + n] if p is None else rem[k + n] % p
+        if c:
+            for j in range(n):
+                rem[k + j] -= c * f[j]
+    return _tup_trim(q), _tup_trim(rem[:n] if p is None else (v % p for v in rem[:n]))
+
+
+def _tup_gcd(a, b, p):
+    """The monic gcd over F_p of a monic a and any b."""
+    while b:
+        inv = pow(b[-1], -1, p)
+        b = tuple(c * inv % p for c in b)
+        a, b = b, _tup_divmod(a, b, p)[1]
+    return a
+
+
+def _tup_powmod(a, k, f, p):
+    """a^k mod a monic f over F_p, by repeated squaring."""
+    out, a = (1,), _tup_divmod(a, f, p)[1]
+    while k:
+        if k & 1:
+            out = _tup_divmod(_tup_mul(out, a, p), f, p)[1]
+        a = _tup_divmod(_tup_mul(a, a, p), f, p)[1]
+        k >>= 1
+    return out
+
+
 # ---------------------------------------------------------------------------
 # base rings
 
@@ -239,22 +274,22 @@ class BaseRing:
     # -- element construction
 
     def coerce(self, v):
-        """Accept ints, or coefficient lists/tuples for polynomial kinds."""
+        """Accept ints, or coefficient lists/tuples for polynomial kinds; never bools."""
         if self.kind == "Z":
-            if isinstance(v, int):
+            if type(v) is int:
                 return v
         elif self.kind == "Fp":
-            if isinstance(v, int):
+            if type(v) is int:
                 return v % self.p
         elif self.kind == "ZX":
-            if isinstance(v, int):
+            if type(v) is int:
                 return _tup_trim((v,))
-            if isinstance(v, (list, tuple)) and all(isinstance(c, int) for c in v):
+            if isinstance(v, (list, tuple)) and all(type(c) is int for c in v):
                 return _tup_trim(v)
         elif self.kind == "FpX":
-            if isinstance(v, int):
+            if type(v) is int:
                 return _tup_trim((v % self.p,))
-            if isinstance(v, (list, tuple)) and all(isinstance(c, int) for c in v):
+            if isinstance(v, (list, tuple)) and all(type(c) is int for c in v):
                 return _tup_trim(c % self.p for c in v)
         raise MonogenError(f"cannot coerce {v!r} into {self!r}")
 
@@ -420,13 +455,8 @@ class SparsePoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_homogeneous(self, degree=None) -> bool:
-        if not self.terms:
-            return True
-        degs = {sum(e) for e in self.terms}
-        if len(degs) > 1:
-            return False
-        return degree is None or degs == {degree}
+    def is_homogeneous(self, degree: int) -> bool:
+        return all(sum(e) == degree for e in self.terms)
 
     def variables_used(self):
         """Sorted indices of variables with a positive exponent somewhere."""
@@ -613,16 +643,15 @@ class SparsePoly:
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
 
-    def text(self, var_names=None) -> str:
+    def text(self) -> str:
         """Canonical text form, graded-lex descending: c*x1^e1*...*xn^en + ..."""
         if not self.terms:
             return "0"
-        names = var_names or [f"x{i + 1}" for i in range(self.arity)]
         base = self.base
         chunks = []
         for exps, c in self.sorted_terms():
             mono = "*".join(
-                f"{names[i]}^{e}" if e > 1 else names[i]
+                f"x{i + 1}^{e}" if e > 1 else f"x{i + 1}"
                 for i, e in enumerate(exps)
                 if e > 0
             )
@@ -822,135 +851,41 @@ def content_primes(f: SparsePoly) -> set:
     return set(factor_int(g))
 
 
-# ---------------------------------------------------------------------------
-# univariate polynomials over F_p
+def berlekamp_factor(f, p: int):
+    """The sorted roots in F_p of a monic f that splits into distinct linear factors.
 
-
-class UniPolyFp:
-    """Dense univariate polynomial over F_p, constant term first."""
-
-    __slots__ = ("p", "coeffs")
-
-    def __init__(self, p: int, coeffs):
-        if not is_prime(p):
-            raise MonogenError(f"{p} is not prime")
-        self.p = p
-        self.coeffs = _tup_trim(c % p for c in coeffs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def _wrap(self, coeffs):
-        """A polynomial over the same F_p, without testing p for primality again."""
-        out = UniPolyFp.__new__(UniPolyFp)
-        out.p = self.p
-        out.coeffs = _tup_trim(c % self.p for c in coeffs)
-        return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, UniPolyFp)
-            and self.p == other.p
-            and self.coeffs == other.coeffs
-        )
-
-    def __sub__(self, other):
-        return self._wrap(_tup_add(self.coeffs, _tup_neg(other.coeffs, self.p), self.p))
-
-    def __mul__(self, other):
-        return self._wrap(_tup_mul(self.coeffs, other.coeffs, self.p))
-
-    def __mod__(self, other):
-        _, r = self.divmod(other)
-        return r
-
-    def divmod(self, other):
-        if other.is_zero:
-            raise ZeroPolynomial("division by zero polynomial")
-        p = self.p
-        rem = list(self.coeffs)
-        db = other.degree
-        if self.degree < db:
-            return self._wrap(()), self
-        q = [0] * (self.degree - db + 1)
-        inv = pow(other.coeffs[-1], p - 2, p)
-        for k in range(len(q) - 1, -1, -1):
-            c = rem[k + db] * inv % p
-            if c:
-                q[k] = c
-                for j, v in enumerate(other.coeffs):
-                    rem[k + j] = (rem[k + j] - c * v) % p
-        return self._wrap(q), self._wrap(rem)
-
-    def monic(self):
-        if self.is_zero:
-            return self
-        inv = pow(self.coeffs[-1], self.p - 2, self.p)
-        return self._wrap(c * inv % self.p for c in self.coeffs)
-
-    def gcd(self, other):
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a % b
-        return a.monic()
-
-    def pow_mod(self, k: int, mod):
-        out = self._wrap((1,))
-        b = self % mod
-        while k:
-            if k & 1:
-                out = (out * b) % mod
-            b = (b * b) % mod
-            k >>= 1
-        return out
-
-    def text(self, var: str = "x") -> str:
-        return BaseRing("FpX", self.p).format_elem(self.coeffs, var)
-
-    def __repr__(self):
-        return f"UniPolyFp(p={self.p}, {self.text()})"
-
-
-def berlekamp_factor(f: UniPolyFp):
-    """The roots of a monic f over F_p that splits into distinct linear factors.
-
-    Returns [(x - r, 1)] sorted by coefficient tuple.  Raises SplitFailure
-    unless x^p = x mod f, that is, unless the roots of f are distinct and
-    all in F_p.  Berlekamp's root splitting (1970): each piece g parts at
+    f is a coefficient sequence, constant term first, read mod p; a
+    composite p raises MonogenError.  Raises SplitFailure unless
+    x^p = x mod f, that is, unless the roots of f are distinct and all in
+    F_p.  Berlekamp's root splitting (1970): each piece g parts at
     gcd(g, (x + a)^e - 1), e = max((p - 1)/2, 1), for a = 0, 1, 2, ...
     until every piece is linear.  Two roots r, s part at the first a where
     exactly one of r + a, s + a is a nonzero square, which comes at some
     a < p and in practice within a few steps; each step costs O(log p)
     products of polynomials of degree below deg f, not a walk over F_p.
     """
-    if f.is_zero:
+    if not is_prime(p):
+        raise MonogenError(f"{p} is not prime")
+    f = _tup_trim(c % p for c in f)
+    if not f:
         raise ZeroPolynomial("cannot factor the zero polynomial")
-    if not f.is_monic:
+    if f[-1] != 1:
         raise NonMonic("factorization requires a monic input")
-    p = f.p
-    x = f._wrap((0, 1))
-    if f.degree >= 1 and x.pow_mod(p, f) != x % f:
-        raise SplitFailure(f"{f.text()} has a repeated root or a root outside F_{p}")
+    if len(f) > 2 and _tup_powmod((0, 1), p, f, p) != (0, 1):
+        raise SplitFailure(
+            f"{FpX(p).format_elem(f, 'x')} has a repeated root or a root outside F_{p}"
+        )
     e = max((p - 1) // 2, 1)
-    one = f._wrap((1,))
     pieces, a = [f], 0
-    while any(g.degree > 1 for g in pieces):
-        shift = f._wrap((a, 1))
+    while any(len(g) > 2 for g in pieces):
         split = []
         for g in pieces:
-            h = g.gcd(shift.pow_mod(e, g) - one) if g.degree > 1 else g
-            split += [h, g.divmod(h)[0]] if 0 < h.degree < g.degree else [g]
+            h = g
+            if len(g) > 2:  # linear pieces are done
+                h = _tup_gcd(g, _tup_add(_tup_powmod((a, 1), e, g, p), (-1,), p), p)
+            split += [h, _tup_divmod(g, h, p)[0]] if 1 < len(h) < len(g) else [g]
         pieces, a = split, a + 1
-    return sorted(((g, 1) for g in pieces if g.degree), key=lambda gm: gm[0].coeffs)
+    return sorted(-g[0] % p for g in pieces if len(g) == 2)
 
 
 # ---------------------------------------------------------------------------

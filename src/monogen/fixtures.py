@@ -15,7 +15,7 @@ from .errors import MonogenError, ParseError
 from .algebra import OrderPresentation, StructureAlgebra
 from .indexform import check_monogenerator, index_form
 from . import artin, localmono
-from .search import search_monogenerators
+from .search import DEFAULT_ENUM_CAP, search_monogenerators
 
 
 def load_algebra_json(doc, label_hint: str = "") -> StructureAlgebra:
@@ -43,15 +43,19 @@ def load_algebra_json(doc, label_hint: str = "") -> StructureAlgebra:
     return alg
 
 
-def parse_input(path) -> StructureAlgebra:
-    path = Path(path)
+def _read_json(path: Path):
+    """The JSON document in a file; ParseError naming the path if it cannot be read."""
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:  # missing, a directory, unreadable
         raise ParseError(f"{path}: cannot read: {exc.strerror}") from exc
     except ValueError as exc:  # not UTF-8, or not JSON
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-    return load_algebra_json(doc, label_hint=path.stem)
+
+
+def parse_input(path) -> StructureAlgebra:
+    path = Path(path)
+    return load_algebra_json(_read_json(path), label_hint=path.stem)
 
 
 def corpus_dir() -> Path:
@@ -62,13 +66,12 @@ def corpus_files():
     return sorted(corpus_dir().glob("*.json"))
 
 
-def load_fixture(path):
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    alg = load_algebra_json(doc, label_hint=Path(path).stem)
-    return alg, doc.get("expected", {})
+def load_fixture(path: Path):
+    doc = _read_json(path)
+    return load_algebra_json(doc, label_hint=path.stem), doc.get("expected", {})
 
 
-def run_corpus(cap: int = 10**7):
+def run_corpus(cap: int = DEFAULT_ENUM_CAP):
     """Replay every expectation in the corpus; returns result rows."""
     rows = []
     for path in corpus_files():

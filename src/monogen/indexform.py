@@ -67,8 +67,8 @@ class IndexForm:
     def reduce_mod_p(self, p: int) -> SparsePoly:
         return self.form.reduce_mod_p(p)
 
-    def text(self, var_names=None) -> str:
-        return self.form.text(var_names)
+    def text(self) -> str:
+        return self.form.text()
 
     def to_json(self):
         return {"label": self.label, "rank": self.rank, "form": self.form.to_json()}
@@ -90,7 +90,7 @@ def index_form(alg: StructureAlgebra) -> IndexForm:
         ]
     det = determinant(m).canonical_sign()
     expected = n * (n - 1) // 2
-    if not det.is_zero and not det.is_homogeneous(expected):
+    if not det.is_homogeneous(expected):
         raise InvalidAlgebra(
             f"index form of {alg.label!r} is not homogeneous of degree {expected}"
         )

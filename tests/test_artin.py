@@ -231,7 +231,7 @@ class TestFrobeniusSplitting:
         assert len(dec.factors) == frobenius_fixed_dim(fiber) == 5
 
     def test_local_fiber_never_calls_berlekamp(self, monkeypatch):
-        def fail(_):
+        def fail(*args):
             raise AssertionError("berlekamp_factor called on a local fiber")
 
         monkeypatch.setattr(artin, "berlekamp_factor", fail)

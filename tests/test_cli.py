@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from monogen import localmono
+from monogen import fixtures, localmono
 from monogen.cli import main
 from monogen.fixtures import corpus_dir, parse_input
 from monogen.errors import NotClosedUnderMultiplication, ParseError
@@ -183,6 +183,33 @@ class TestCommands:
         code, out, err = run(capsys, "index-form", str(path), "--json")
         assert code == 1 and out == ""
         assert "integers" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("command", ["validate", "classify"])
+    @pytest.mark.parametrize("base,one", [("Z", True), ("ZX", [True])], ids=["Z", "ZX"])
+    def test_boolean_ring_element_exit_1(self, capsys, tmp_path, command, base, one):
+        # JSON true must not be read as 1: this is Z^2 with every 1 written as true
+        zero = 0 if base == "Z" else []
+        constants = [[[one, zero], [zero, zero]], [[zero, zero], [zero, one]]]
+        doc = {"base": {"kind": base}, "rank": 2, "constants": constants, "identity": [one, one]}
+        path = tmp_path / "bools.json"
+        path.write_text(json.dumps({"algebra": doc}))
+        code, out, err = run(capsys, command, str(path), "--json")
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": "MonogenError",
+            "message": f"cannot coerce {one!r} into BaseRing({base})",
+        }
+
+    def test_corrupt_corpus_fixture_exit_1(self, capsys, tmp_path, monkeypatch):
+        (tmp_path / "bad.json").write_text("{not json")
+        monkeypatch.setattr(fixtures, "corpus_dir", lambda: tmp_path)
+        code, out, err = run(capsys, "corpus", "--json")
+        assert code == 1 and err == ""
+        doc = json.loads(out)
+        assert doc["failures"] == 1
+        [row] = doc["results"]
+        assert (row["fixture"], row["check"], row["ok"]) == ("bad", "load", False)
+        assert row["detail"].startswith(f"{tmp_path / 'bad.json'}: invalid JSON: ")
 
     @pytest.mark.parametrize("command", ["search", "classify"])
     def test_negative_height_exit_1(self, capsys, command):

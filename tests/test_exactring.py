@@ -23,9 +23,12 @@ from monogen.exactring import (
     Fp,
     FpX,
     SparsePoly,
-    UniPolyFp,
     ZX,
     ZZ,
+    _tup_add,
+    _tup_divmod,
+    _tup_mul,
+    _tup_trim,
     berlekamp_factor,
     content_primes,
     MR_BOUND,
@@ -347,49 +350,55 @@ def sympy_split_roots(p, coeffs):
     return sorted(-int(sympy.Poly(g, x).all_coeffs()[1]) % p for g, _ in factors)
 
 
-def roots_of(factors, p):
-    assert all(m == 1 and g.degree == 1 and g.is_monic for g, m in factors)
-    assert [g.coeffs for g, _ in factors] == sorted(g.coeffs for g, _ in factors)
-    return sorted(-g.coeffs[0] % p for g, _ in factors)
-
-
 class TestBerlekamp:
     def test_char2_square(self):
         # x^2 + 1 = (x + 1)^2 over F_2: a repeated root
         with pytest.raises(SplitFailure):
-            berlekamp_factor(UniPolyFp(2, (1, 0, 1)))
+            berlekamp_factor((1, 0, 1), 2)
 
     def test_mod5_split(self):
-        fs = berlekamp_factor(UniPolyFp(5, (1, 0, 1)))
-        assert fs == [(UniPolyFp(5, (2, 1)), 1), (UniPolyFp(5, (3, 1)), 1)]
+        assert berlekamp_factor((1, 0, 1), 5) == [2, 3]
 
     def test_dedekind_minpoly_mod2(self):
         # x^3 - x^2 - 2x - 8 = x^2 (x+1) mod 2: the root 0 is double
         with pytest.raises(SplitFailure):
-            berlekamp_factor(UniPolyFp(2, (0, 0, 1, 1)))
+            berlekamp_factor((0, 0, 1, 1), 2)
 
     def test_zero_raises(self):
         with pytest.raises(ZeroPolynomial):
-            berlekamp_factor(UniPolyFp(3, ()))
+            berlekamp_factor((), 3)
+        with pytest.raises(ZeroPolynomial):
+            berlekamp_factor((3, 0, -6), 3)
 
     def test_non_monic_raises(self):
         with pytest.raises(NonMonic):
-            berlekamp_factor(UniPolyFp(3, (1, 2)))
+            berlekamp_factor((1, 2), 3)
+
+    @pytest.mark.parametrize("p", [1, 15, 2**61 + 1])
+    def test_composite_modulus_raises(self, p):
+        with pytest.raises(MonogenError, match="not prime"):
+            berlekamp_factor((0, 1), p)
+
+    def test_negative_coefficients_read_mod_p(self):
+        # (x - 3)(x + 2) over Z, with coefficients -c as the minimal
+        # polynomial of a linear recurrence comes out; -2 = 5 in F_7
+        assert berlekamp_factor((-6, -1, 1), 7) == [3, 5]
+        assert berlekamp_factor((-6, -1, 1), 7) == berlekamp_factor((1, 6, 8), 7)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_random_factorizations_multiply_back(self, p):
         rng = random.Random(100 + p)
         for _ in range(25):
             roots = rng.sample(range(p), rng.randint(1, p))
-            f = UniPolyFp(p, (1,))
+            f = (1,)
             for r in roots:
-                f = f * UniPolyFp(p, (-r, 1))
-            fs = berlekamp_factor(f)
-            assert roots_of(fs, p) == sorted(roots) == sympy_split_roots(p, f.coeffs)
-            prod = UniPolyFp(p, (1,))
-            for g, _ in fs:
-                prod = prod * g
-            assert prod == f
+                f = _tup_mul(f, (-r % p, 1), p)
+            got = berlekamp_factor(f, p)
+            assert got == sorted(roots) == sympy_split_roots(p, f)
+            back = (1,)
+            for r in got:
+                back = _tup_mul(back, (-r % p, 1), p)
+            assert back == f
 
     def test_against_sympy(self):
         rng = random.Random(42)
@@ -401,20 +410,48 @@ class TestBerlekamp:
                 theirs = sympy_split_roots(p, coeffs)
                 if theirs is None:
                     with pytest.raises(SplitFailure):
-                        berlekamp_factor(UniPolyFp(p, coeffs))
+                        berlekamp_factor(coeffs, p)
                 else:
                     split += 1
-                    assert roots_of(berlekamp_factor(UniPolyFp(p, coeffs)), p) == theirs
+                    assert berlekamp_factor(coeffs, p) == theirs
         assert 0 < split < 160
 
     @pytest.mark.parametrize("p", [2147483659, 2**61 - 1])
     def test_large_prime_roots_without_a_walk(self, p):
         # the roots p - 5 and p - 7 lie far from 0, where a walk over F_p would start
-        f = UniPolyFp(p, (35, 12, 1))
         start = time.perf_counter()
-        fs = berlekamp_factor(f)
+        roots = berlekamp_factor((35, 12, 1), p)
         assert time.perf_counter() - start < 0.1
-        assert fs == [(UniPolyFp(p, (5, 1)), 1), (UniPolyFp(p, (7, 1)), 1)]
+        assert roots == [p - 7, p - 5]
+
+
+def _sympy_divmod(a, f, p=None):
+    """sympy's quotient and remainder as tuples, constant first, in [0, p) over F_p."""
+    x = sympy.Symbol("x")
+    opts = {} if p is None else {"modulus": p}
+    polys = [sympy.Poly(list(reversed(c)) or [0], x, **opts) for c in (a, f)]
+    return tuple(
+        _tup_trim(int(c) if p is None else int(c) % p for c in reversed(g.all_coeffs()))
+        for g in sympy.div(*polys)
+    )
+
+
+class TestTupDivmod:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from([None, 2, 3, 7, 2147483659]),
+        st.lists(st.integers(-10**6, 10**6), max_size=9),
+        st.lists(st.integers(-10**6, 10**6), max_size=5),
+    )
+    def test_matches_sympy_div(self, p, a, f):
+        # a = q*f + r with deg r < deg f, over Z and over F_p, for a monic f
+        f = _tup_trim(f) + (1,)
+        if p is not None:
+            a, f = [c % p for c in a], tuple(c % p for c in f)
+        q, r = _tup_divmod(a, f, p)
+        assert len(r) < len(f)
+        assert _tup_add(_tup_mul(q, f, p), r, p) == _tup_trim(a)
+        assert (q, r) == _sympy_divmod(a, f, p)
 
 
 class TestNecklaceCount:
