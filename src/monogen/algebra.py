@@ -2,16 +2,20 @@
 
 A StructureAlgebra stores the multiplication table e_i * e_j = sum_k
 c[i][j][k] e_k over a BaseRing, together with the coordinates of 1 in the
-basis.  Building one checks the ring axioms (commutativity, associativity,
-the given 1) and raises ValidationError listing every violation, so each
-instance is a commutative ring with 1.  Orders in number fields enter
-through OrderPresentation (a monic minimal polynomial plus a rational
-basis matrix in the power basis).
+basis.  Every instance is a commutative ring with 1.  A table given as
+structure constants is checked against the ring axioms (commutativity,
+associativity, the given 1), and ValidationError lists every violation.
+Orders in number fields enter through OrderPresentation (a monic minimal
+polynomial plus a rational basis matrix in the power basis); they are
+valid by construction once the closure check passes, so they skip the
+axiom check, as reductions mod p and changes of basis do.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from math import lcm
 
 from .errors import (
     InvalidAlgebra,
@@ -43,9 +47,11 @@ class StructureAlgebra:
 
     The constructor raises ValidationError, listing every violated axiom,
     unless the table is commutative and associative with the given 1.
+    Algebras that are rings by construction (orders, reductions, changes
+    of basis) come from ``_derived`` instead, without the check.
     """
 
-    __slots__ = ("base", "rank", "constants", "identity", "label")
+    __slots__ = ("base", "rank", "constants", "identity", "label", "_table")
 
     def __init__(self, base: BaseRing, rank: int, constants, identity, label: str = ""):
         self._fill(base, rank, constants, identity, label)
@@ -55,10 +61,11 @@ class StructureAlgebra:
 
     @classmethod
     def _derived(cls, base, rank, constants, identity, label):
-        """An algebra derived from a valid one, built without the axiom check.
+        """An algebra known to be a ring, built without the axiom check.
 
         Reduction mod p keeps the axioms, which are integer identities in
-        the constants, and a change of basis gives an isomorphic algebra.
+        the constants, a change of basis gives an isomorphic algebra, and
+        an order is a subring of Q[x]/(f).
         """
         alg = cls.__new__(cls)
         alg._fill(base, rank, constants, identity, label)
@@ -82,6 +89,11 @@ class StructureAlgebra:
         if len(self.identity) != rank:
             raise InvalidAlgebra("identity coordinates must have length n")
         self.label = label
+        # over Z and F_p, vec_mul sums plain ints over the nonzero (k, c[i][j][k]) of each (i, j)
+        self._table = None if base.is_polynomial else tuple(
+            tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in plane)
+            for plane in self.constants
+        )
 
     # -- coordinate arithmetic
 
@@ -91,6 +103,16 @@ class StructureAlgebra:
         n = self.rank
         if len(v) != n or len(w) != n:
             raise LengthMismatch("coordinate vectors must have length n")
+        if self._table is not None:
+            acc = [0] * n
+            nonzero_w = [(j, b) for j, b in enumerate(w) if b]
+            for a, plane in zip(v, self._table):
+                if a:
+                    for j, b in nonzero_w:
+                        ab = a * b
+                        for k, c in plane[j]:
+                            acc[k] += ab * c
+            return tuple(acc) if base.p is None else tuple(x % base.p for x in acc)
         out = [base.zero] * n
         for i in range(n):
             if base.is_zero(v[i]):
@@ -305,37 +327,37 @@ class OrderPresentation:
     def to_algebra(self, label: str = "") -> StructureAlgebra:
         """Structure constants of the module spanned by the basis rows.
 
-        Raises NotClosedUnderMultiplication if some product of basis
-        elements falls outside the integer span.
+        With the basis as M/D, M an integer matrix, b_i*b_j has coordinates
+        P*adj(M)/(D*det M), where P = M_i*M_j mod f in integers.  Raises
+        NotClosedUnderMultiplication if one of them, or of 1, is not an
+        integer; otherwise the span is a subring of Q[x]/(f), a ring.
         """
         n = self.n
-        Tinv = _rational_inverse(self.basis)
-        constants = [[[0] * n for _ in range(n)] for _ in range(n)]
+        D = lcm(*(x.denominator for row in self.basis for x in row))
+        M = [[int(x * D) for x in row] for row in self.basis]
+        det = int_determinant(M)
+        inverse = _rational_inverse([[Fraction(x) for x in row] for row in M])
+        adj_columns = [[int(x * det) for x in col] for col in zip(*inverse)]
+
+        def coordinates(P):
+            """(q, r) of each coordinate of P/D^2, power basis, as q + r/(D*det M)."""
+            return [divmod(sum(a * b for a, b in zip(P, col)), D * det) for col in adj_columns]
+
+        constants = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                prod = _tup_divmod(_tup_mul(self.basis[i], self.basis[j]), self.minpoly)[1]
-                coords = [sum(c * Tinv[a][k] for a, c in enumerate(prod)) for k in range(n)]
-                ints = []
-                for k, c in enumerate(coords):
-                    if c.denominator != 1:
+                coords = coordinates(_tup_divmod(_tup_mul(M[i], M[j]), self.minpoly)[1])
+                for k, (q, r) in enumerate(coords):
+                    if r:
                         raise NotClosedUnderMultiplication(
-                            f"product b{i + 1}*b{j + 1} has non-integral coordinate {c} "
-                            f"on basis element {k + 1}"
+                            f"product b{i + 1}*b{j + 1} has non-integral coordinate "
+                            f"{q + Fraction(r, D * det)} on basis element {k + 1}"
                         )
-                    ints.append(int(c))
-                for k in range(n):
-                    constants[i][j][k] = ints[k]
-                    constants[j][i][k] = ints[k]
-        one = [Fraction(int(k == 0)) for k in range(n)]
-        identity = []
-        for k in range(n):
-            c = sum(one[a] * Tinv[a][k] for a in range(n))
-            if c.denominator != 1:
-                raise NotClosedUnderMultiplication(
-                    "1 is not in the integer span of the basis"
-                )
-            identity.append(int(c))
-        return StructureAlgebra(ZZ, n, constants, identity, label=label)
+                constants[i][j] = constants[j][i] = [q for q, _ in coords]
+        identity = coordinates((D * D,))
+        if any(r for _, r in identity):
+            raise NotClosedUnderMultiplication("1 is not in the integer span of the basis")
+        return StructureAlgebra._derived(ZZ, n, constants, [q for q, _ in identity], label)
 
     def to_json(self):
         return {
@@ -345,8 +367,11 @@ class OrderPresentation:
 
     @classmethod
     def from_json(cls, d):
-        basis = [[Fraction(x) for x in row] for row in d["basis"]]
-        return cls(d["minpoly"], basis)
+        """Read what to_json writes: basis entries are ints or "n/d" strings."""
+        for x in (x for row in d["basis"] for x in row):
+            if not (type(x) is int or isinstance(x, str) and re.fullmatch(r"[+-]?\d+(/\d+)?", x)):
+                raise MonogenError(f"basis entries must be integers or 'n/d' strings, got {x!r}")
+        return cls(d["minpoly"], d["basis"])
 
 
 def power_basis_algebra(minpoly, label: str = "") -> StructureAlgebra:

@@ -78,19 +78,28 @@ class ArtinDecomposition:
 # nilradical
 
 
-def nilradical(alg: StructureAlgebra):
+def _frobenius(alg: StructureAlgebra):
+    """Columns of the Frobenius matrix Phi: the images x^p of the basis vectors."""
+    return [alg.element_power(alg.basis_vector(i), alg.base.p) for i in range(alg.rank)]
+
+
+def nilradical(alg: StructureAlgebra, frob=None):
     """Row-reduced basis of the nilradical of an F_p-algebra.
 
-    Kernel of x -> x^(p^m) with p^m >= n; that map is F_p-linear because
-    Frobenius is.
+    ker Phi^m with p^m >= n, where Phi is the F_p-linear Frobenius x -> x^p:
+    Phi^m is x -> x^(p^m), which kills exactly the nilpotent elements.  frob
+    holds the columns of Phi (computed when not given); Phi^m takes m - 1
+    products over F_p, none when p >= n.
     """
     if alg.base.kind != "Fp":
         raise InvalidAlgebra("nilradical needs base F_p")
     p, n = alg.base.p, alg.rank
+    images = frob = frob or _frobenius(alg)
     q = p
     while q < n:
+        images = [tuple(sum(c * col[k] for c, col in zip(v, frob)) % p for k in range(n))
+                  for v in images]
         q *= p
-    images = [alg.element_power(alg.basis_vector(i), q) for i in range(n)]
     rows, _ = fp_rref(fp_kernel(list(zip(*images)), p), p)
     return rows
 
@@ -99,15 +108,14 @@ def nilradical(alg: StructureAlgebra):
 # decomposition
 
 
-def _primitive_idempotents(alg):
+def _primitive_idempotents(alg, frob):
     """The primitive idempotents, split off by one Frobenius-fixed element at a time.
 
-    Frobenius x -> x^p is F_p-linear, and its fixed points are exactly the
-    F_p-span of the primitive idempotents (Berlekamp's subalgebra), so its
-    dimension r is the number of local factors.
+    Frobenius x -> x^p (columns frob) is F_p-linear, and ker(Phi - I) is
+    exactly the F_p-span of the primitive idempotents (Berlekamp's
+    subalgebra), so its dimension r is the number of local factors.
     """
     p, n = alg.base.p, alg.rank
-    frob = [alg.element_power(alg.basis_vector(i), p) for i in range(n)]
     fixed = fp_kernel([[(frob[j][i] - (i == j)) % p for j in range(n)] for i in range(n)], p)
     idempotents = [alg.identity]
     for b in fixed:
@@ -152,9 +160,10 @@ def decompose(alg: StructureAlgebra) -> ArtinDecomposition:
     if alg.base.kind != "Fp":
         raise InvalidAlgebra("decomposition needs base F_p")
     p, n = alg.base.p, alg.rank
-    nil_rows = nilradical(alg)
+    frob = _frobenius(alg)
+    nil_rows = nilradical(alg, frob)
     results = []
-    for e in _primitive_idempotents(alg):
+    for e in _primitive_idempotents(alg, frob):
         fac_vectors = [alg.vec_mul(e, alg.basis_vector(j)) for j in range(n)]
         dim = len(fp_rref(fac_vectors, p)[0])
         # maximal ideal = e * N

@@ -861,8 +861,10 @@ def berlekamp_factor(f, p: int):
     gcd(g, (x + a)^e - 1), e = max((p - 1)/2, 1), for a = 0, 1, 2, ...
     until every piece is linear.  Two roots r, s part at the first a where
     exactly one of r + a, s + a is a nonzero square, which comes at some
-    a < p and in practice within a few steps; each step costs O(log p)
-    products of polynomials of degree below deg f, not a walk over F_p.
+    a < p (a character-sum argument) and in practice within a few steps;
+    reaching a = p raises SplitFailure, since it can only mean faulty
+    arithmetic.  Each step costs O(log p) products of polynomials of
+    degree below deg f, not a walk over F_p.
     """
     if not is_prime(p):
         raise MonogenError(f"{p} is not prime")
@@ -878,6 +880,8 @@ def berlekamp_factor(f, p: int):
     e = max((p - 1) // 2, 1)
     pieces, a = [f], 0
     while any(len(g) > 2 for g in pieces):
+        if a == p:
+            raise SplitFailure(f"roots of {FpX(p).format_elem(f, 'x')} did not part at any a < {p}")
         split = []
         for g in pieces:
             h = g

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monogen.errors import (
     NonMonic,
@@ -17,7 +18,7 @@ from monogen.algebra import (
     _fp_matrix_inverse,
     split_algebra,
 )
-from monogen.exactring import ZZ, discriminant_unipoly, int_determinant
+from monogen.exactring import Fp, ZZ, discriminant_unipoly, int_determinant
 from conftest import dedekind_order, gaussian_order, random_monic, random_unimodular
 
 
@@ -99,6 +100,98 @@ class TestOrderPresentation:
             OrderPresentation([1, 1, 2], [[1, 0], [0, 1]])
 
 
+@st.composite
+def order_bases(draw):
+    """(f, basis) of Z + m*Z[theta] in a random Z-basis, in the power basis of d*theta.
+
+    d*theta is a root of the monic f(x) = d^n g(x/d), so basis entries have
+    denominators that are powers of d.  Sometimes one row is divided by 2
+    or 3, which may leave the span open under multiplication.
+    """
+    n = draw(st.integers(2, 6))
+    g = draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n)) + [1]
+    d, m = draw(st.sampled_from([1, 2, 3])), draw(st.integers(1, 3))
+    f = [c * d ** (n - i) for i, c in enumerate(g)]
+    rows = [[Fraction(m if i else 1, d**i) * (i == j) for j in range(n)] for i in range(n)]
+    U = random_unimodular(random.Random(draw(st.integers(0, 2**32))), n)
+    basis = [[sum(u * row[j] for u, row in zip(urow, rows)) for j in range(n)] for urow in U]
+    k, q = draw(st.sampled_from(range(-2 * n, n))), draw(st.sampled_from([2, 3]))
+    if k >= 0:
+        basis[k] = [x / q for x in basis[k]]
+    return f, basis
+
+
+def fraction_reference(f, basis):
+    """(constants, identity) by Fraction arithmetic in Q[x]/(f); None if the span is no ring."""
+    n = len(basis)
+    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(basis)]
+    for c in range(n):  # Gauss-Jordan: the right half becomes the inverse
+        piv = next(i for i in range(c, n) if aug[i][c])
+        aug[c], aug[piv] = aug[piv], aug[c]
+        aug[c] = [x / aug[c][c] for x in aug[c]]
+        aug = [r if i == c else [x - r[c] * y for x, y in zip(r, aug[c])] for i, r in enumerate(aug)]
+
+    def coords(v):
+        return tuple(sum(v[a] * aug[a][n + k] for a in range(n)) for k in range(n))
+
+    def mulmod(u, v):
+        prod = [sum(u[i] * v[k - i] for i in range(n) if 0 <= k - i < n) for k in range(2 * n - 1)]
+        for k in range(2 * n - 2, n - 1, -1):  # x^k = x^(k-n) (x^n - f)
+            prod[k - n:k + 1] = [x - prod[k] * c for x, c in zip(prod[k - n:k + 1], f)]
+        return prod[:n]
+
+    constants = tuple(tuple(coords(mulmod(a, b)) for b in basis) for a in basis)
+    identity = coords([1] + [0] * (n - 1))
+    entries = [x for plane in constants for row in plane for x in row] + list(identity)
+    return None if any(x.denominator != 1 for x in entries) else (constants, identity)
+
+
+class TestIntegerOrders:
+    @settings(max_examples=150, deadline=None)
+    @given(order_bases())
+    def test_matches_fraction_reference(self, case):
+        f, basis = case
+        reference = fraction_reference(f, basis)
+        if reference is None:
+            with pytest.raises(NotClosedUnderMultiplication):
+                OrderPresentation(f, basis).to_algebra()
+            return
+        alg = OrderPresentation(f, basis).to_algebra()
+        assert (alg.constants, alg.identity) == reference
+        assert alg.validate() == []
+
+    def test_orders_skip_validation(self, monkeypatch):
+        monkeypatch.setattr(StructureAlgebra, "validate", lambda self: pytest.fail("validated"))
+        assert dedekind_order().rank == 3
+
+
+@st.composite
+def tables_and_vectors(draw):
+    """A random table (not necessarily a ring) over Z or F_p, and two vectors."""
+    base = draw(st.sampled_from([ZZ, Fp(2), Fp(3), Fp(7)]))
+    n = draw(st.integers(1, 5))
+    entries = st.lists(st.one_of(st.just(0), st.integers(-9, 9)), min_size=n, max_size=n)
+    flat = draw(st.lists(entries, min_size=n * n, max_size=n * n))
+    constants = [flat[i * n:(i + 1) * n] for i in range(n)]
+    alg = StructureAlgebra._derived(base, n, constants, [0] * n, "random table")
+    v, w = (tuple(base.coerce(x) for x in draw(entries)) for _ in range(2))
+    return alg, v, w
+
+
+class TestVecMul:
+    @settings(max_examples=200, deadline=None)
+    @given(tables_and_vectors())
+    def test_table_kernel_matches_base_ring_arithmetic(self, case):
+        alg, v, w = case
+        base, n = alg.base, alg.rank
+        out = [base.zero] * n
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    out[k] = base.add(out[k], base.mul(base.mul(v[i], w[j]), alg.constants[i][j][k]))
+        assert alg.vec_mul(v, w) == tuple(out)
+
+
 class TestReduceModP:
     def test_gaussian_mod_2(self):
         alg = gaussian_order().reduce_mod_p(2)
@@ -131,7 +224,8 @@ class TestReduceModP:
         monkeypatch.setattr(
             StructureAlgebra, "validate", lambda self: calls.append(self.label) or original(self)
         )
-        alg = gaussian_order()
+        # Z[i] from its table, through the checking constructor
+        alg = StructureAlgebra(ZZ, 2, [[[1, 0], [0, 1]], [[0, 1], [-1, 0]]], [1, 0], "Z[i]")
         assert calls == ["Z[i]"]
         alg.reduce_mod_p(3)
         alg.change_basis([[1, 1], [0, 1]])

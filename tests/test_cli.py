@@ -200,6 +200,19 @@ class TestCommands:
             "message": f"cannot coerce {one!r} into BaseRing({base})",
         }
 
+    @pytest.mark.parametrize("entry", [True, 0.5], ids=["true", "float"])
+    def test_non_rational_basis_entry_exit_1(self, capsys, tmp_path, entry):
+        # only ints and "n/d" strings, as to_json writes them: true is not read as 1
+        doc = {"order": {"minpoly": [-2, 0, 1], "basis": [[entry, 0], [0, 1]]}}
+        path = tmp_path / "basis.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "index-form", str(path), "--json")
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": "MonogenError",
+            "message": f"basis entries must be integers or 'n/d' strings, got {entry!r}",
+        }
+
     def test_corrupt_corpus_fixture_exit_1(self, capsys, tmp_path, monkeypatch):
         (tmp_path / "bad.json").write_text("{not json")
         monkeypatch.setattr(fixtures, "corpus_dir", lambda: tmp_path)

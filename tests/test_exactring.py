@@ -8,6 +8,7 @@ import sympy
 from sympy.utilities.exceptions import SymPyDeprecationWarning
 from hypothesis import given, settings, strategies as st
 
+from monogen import exactring
 from monogen.algebra import split_algebra
 from monogen.errors import (
     ArityMismatch,
@@ -423,6 +424,19 @@ class TestBerlekamp:
         roots = berlekamp_factor((35, 12, 1), p)
         assert time.perf_counter() - start < 0.1
         assert roots == [p - 7, p - 5]
+
+    @pytest.mark.parametrize("p, f", [(2, (0, 1, 1)), (7, (6, -5, 1)), (101, (6, -5, 1))])
+    def test_split_that_never_parts_raises(self, monkeypatch, p, f):
+        # x^p = x mod f holds, but every gcd is taken with (1,) - 1 = 0, so no
+        # piece ever splits; two distinct roots always part at some a < p
+        real = exactring._tup_powmod
+
+        def no_split(a, k, g, q):
+            return real(a, k, g, q) if (a, k) == ((0, 1), p) else (1,)
+
+        monkeypatch.setattr(exactring, "_tup_powmod", no_split)
+        with pytest.raises(SplitFailure, match=f"did not part at any a < {p}"):
+            berlekamp_factor(f, p)
 
 
 def _sympy_divmod(a, f, p=None):

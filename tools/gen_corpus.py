@@ -4,11 +4,16 @@ Every frozen expectation is asserted against an independent construction
 (product-form expansions, known discriminants, hand-checked witnesses)
 before being written, so a generator bug cannot silently freeze a wrong
 value.
+
+Usage: python tools/gen_corpus.py  (imports monogen from this checkout's src/)
 """
 
 import json
+import sys
 from fractions import Fraction as F
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from monogen.algebra import OrderPresentation, StructureAlgebra, power_basis_algebra, split_algebra
 from monogen.exactring import SparsePoly, ZX, ZZ
