@@ -8,6 +8,7 @@ reports.  MONOGEN_MAX_ENUM overrides the enumeration cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -32,7 +33,9 @@ def _enum_cap() -> int:
     return DEFAULT_ENUM_CAP
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="monogen",
         description="Classify finite free ring extensions by monogenicity.",

@@ -433,6 +433,14 @@ class SparsePoly:
     # -- constructors
 
     @classmethod
+    def _derived(cls, base, arity, terms: dict) -> "SparsePoly":
+        """A polynomial from terms already clean: exponent tuples of length
+        arity and no zero coefficient, so __init__'s checks are skipped."""
+        poly = cls.__new__(cls)
+        poly.base, poly.arity, poly.terms = base, arity, terms
+        return poly
+
+    @classmethod
     def zero(cls, base, arity):
         return cls(base, arity)
 
@@ -460,12 +468,7 @@ class SparsePoly:
 
     def variables_used(self):
         """Sorted indices of variables with a positive exponent somewhere."""
-        used = set()
-        for exps in self.terms:
-            for i, e in enumerate(exps):
-                if e:
-                    used.add(i)
-        return sorted(used)
+        return [i for i, column in enumerate(zip(*self.terms)) if any(column)]
 
     def leading(self):
         """(exponent vector, coefficient) of the graded-lex leading term."""
@@ -544,7 +547,8 @@ class SparsePoly:
     def evaluate(self, values):
         """Substitute a base-ring element for each variable.
 
-        Over Z and F_p the sum is taken in plain ints and reduced mod p once.
+        Over Z and F_p the sum is taken in plain ints and reduced mod p once;
+        a univariate polynomial, a line of a scan, skips the per-term zip.
         """
         if len(values) != self.arity:
             raise ArityMismatch(f"expected {self.arity} values, got {len(values)}")
@@ -552,11 +556,16 @@ class SparsePoly:
         vals = [base.coerce(v) for v in values]
         if not base.is_polynomial:
             acc = 0
-            for exps, c in self.terms.items():
-                for v, e in zip(vals, exps):
-                    if e:
-                        c *= v**e
-                acc += c
+            if self.arity == 1:
+                x = vals[0]
+                for (e,), c in self.terms.items():
+                    acc += c * x**e
+            else:
+                for exps, c in self.terms.items():
+                    for v, e in zip(vals, exps):
+                        if e:
+                            c *= v**e
+                    acc += c
             return acc if base.p is None else acc % base.p
         acc = base.zero
         for exps, c in self.terms.items():
@@ -567,36 +576,18 @@ class SparsePoly:
             acc = base.add(acc, t)
         return acc
 
-    def substitute_first(self, value) -> "SparsePoly":
-        """Set the first variable to value: a polynomial in the remaining ones."""
-        base = self.base
-        value = base.coerce(value)
-        terms = {}
-        if not base.is_polynomial:
-            for exps, c in self.terms.items():
-                rest = exps[1:]
-                terms[rest] = terms.get(rest, 0) + c * value ** exps[0]
-            if base.p is not None:
-                terms = {e: c % base.p for e, c in terms.items()}
-        else:
-            for exps, c in self.terms.items():
-                for _ in range(exps[0]):
-                    c = base.mul(c, value)
-                rest = exps[1:]
-                terms[rest] = base.add(terms[rest], c) if rest in terms else c
-        return SparsePoly(base, self.arity - 1, terms)
-
     def reduce_mod_p(self, p: int) -> "SparsePoly":
         """Map Z -> F_p or Z[t] -> F_p[t] coefficientwise."""
         if self.base.kind == "Z":
             tgt = Fp(p)
-        elif self.base.kind == "ZX":
+            terms = {e: r for e, c in self.terms.items() if (r := c % p)}
+            return SparsePoly._derived(tgt, self.arity, terms)
+        if self.base.kind == "ZX":
             tgt = FpX(p)
-        else:
-            raise BaseRingMismatch("reduction mod p needs an integral base")
-        return SparsePoly(
-            tgt, self.arity, {e: tgt.coerce(c) for e, c in self.terms.items()}
-        )
+            return SparsePoly(
+                tgt, self.arity, {e: tgt.coerce(c) for e, c in self.terms.items()}
+            )
+        raise BaseRingMismatch("reduction mod p needs an integral base")
 
     def canonical_sign(self) -> "SparsePoly":
         """Negate if the graded-lex leading coefficient is negative."""

@@ -3,12 +3,19 @@
 A coordinate vector v is a witness when the index form evaluates to +-1.
 Witnesses are grouped into affine-equivalence classes: theta ~ u*theta + t
 for u = +-1 and t an integer multiple of 1.
+
+Every scan of a form, over Z or F_p, runs on one walk (_walk): the terms are
+compiled into per-coordinate transitions over plain coefficients, each line
+of the last coordinate becomes a univariate SparsePoly, and that line is
+evaluated once per point.  scan covers a full box, projective_scan one point
+per line through 0 of F_p^m, and search_monogenerators half of the Z box.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import BudgetExceeded, IdentityNotInBasis, MonogenError, NotIntegerBase
 from .algebra import StructureAlgebra
@@ -23,31 +30,12 @@ def scan(poly: SparsePoly, values, cap: int):
 
     The other coordinates of v stay 0, and points come in lexicographic
     order.  Raises BudgetExceeded before the first evaluation when
-    len(values)^m exceeds cap.  The scan walks lines: each prefix of outer
-    coordinates is substituted once, and each point then evaluates a
-    univariate polynomial in the last used variable.
+    len(values)^m exceeds cap.
     """
     used = poly.variables_used()
     _check_budget(len(values), len(used), cap)
-    point = [0] * poly.arity
-    if not used:
-        yield tuple(point), poly.evaluate(point)
-        return
-    on_used = SparsePoly(
-        poly.base, len(used), {tuple(e[i] for i in used): c for e, c in poly.terms.items()}
-    )
-    yield from _lines(on_used, used, values, point)
-
-
-def _lines(poly: SparsePoly, used, values, point):
-    """Scan values^len(used); poly is in the coordinates ``used`` of point."""
-    i = used[0]
-    for x in values:
-        point[i] = x
-        if len(used) == 1:
-            yield tuple(point), poly.evaluate([x])
-        else:
-            yield from _lines(poly.substitute_first(x), used[1:], values, point)
+    terms = _cut(poly.terms.items(), used)
+    yield from _walk(poly.base, terms, used, [values] * len(used), [0] * poly.arity)
 
 
 def projective_scan(poly: SparsePoly, p: int, cap: int):
@@ -57,30 +45,107 @@ def projective_scan(poly: SparsePoly, p: int, cap: int):
     others stay 0.  After the zero point come the points whose first nonzero
     used coordinate is 1, in lexicographic order; a homogeneous poly of
     degree d takes the value c^d * poly(v) at c*v.  Chart j sets the used
-    coordinates before the j-th to 0 and the j-th to 1, and scans the rest
-    with scan, which leaves the coordinates the chart does not use at 0.
-    Raises BudgetExceeded when p^m exceeds cap, as scan would.
+    coordinates before the j-th to 0 and the j-th to 1, and varies only the
+    coordinates that the resulting polynomial still uses; the others stay 0.
+    A chart is built when the scan reaches it, so a caller that stops early
+    pays for no later chart.  Raises BudgetExceeded when p^m exceeds cap, as
+    scan would.
     """
     used = poly.variables_used()
     _check_budget(p, len(used), cap)
-    zero = (0,) * poly.arity
-    yield zero, poly.evaluate(zero)
-    for j in reversed(range(len(used))):
-        lead = used[j]
-        for v, value in scan(_chart(poly, used[:j], lead), range(p), cap):
-            yield v[:lead] + (1,) + v[lead + 1:], value
+    base, arity = poly.base, poly.arity
+    yield from _walk(base, _constant(poly), [], [], [0] * arity)
+    for lead in reversed(used):
+        chart = {}
+        for e, c in poly.terms.items():
+            if not any(e[:lead]):
+                rest = e[lead + 1:]
+                chart[rest] = base.add(chart[rest], c) if rest in chart else c
+        chart = {e: c for e, c in chart.items() if not base.is_zero(c)}
+        live = [k for k, column in enumerate(zip(*chart)) if any(column)]
+        point = [0] * arity
+        point[lead] = 1
+        coords = [lead + 1 + k for k in live]
+        yield from _walk(base, _cut(chart.items(), live), coords, [range(p)] * len(live), point)
 
 
-def _chart(poly: SparsePoly, zeros, lead: int) -> SparsePoly:
-    """poly with the variables in zeros set to 0 and variable lead set to 1."""
-    base = poly.base
-    terms = {}
-    for exps, c in poly.terms.items():
-        if any(exps[i] for i in zeros):
-            continue
-        e = exps[:lead] + (0,) + exps[lead + 1:]
-        terms[e] = base.add(terms[e], c) if e in terms else c
-    return SparsePoly(base, poly.arity, terms)
+def _constant(poly: SparsePoly) -> dict:
+    """The constant term of poly, as a term over no coordinates."""
+    return {(): poly.terms.get((0,) * poly.arity, poly.base.zero)}
+
+
+def _cut(items, keep) -> dict:
+    """Terms keyed by their exponents at the positions keep only.
+
+    Every other exponent of the (exponents, coefficient) items must be 0.
+    """
+    if len(keep) == 1:
+        (i,) = keep
+        return {(e[i],): c for e, c in items}
+    pick = itemgetter(*keep) if keep else lambda e: ()
+    return {pick(e): c for e, c in items}
+
+
+def _walk(base, terms: dict, coords, ranges, point):
+    """Yield (v, value) with coordinate coords[k] of point running over ranges[k].
+
+    terms maps exponent vectors over coords to coefficients; the other
+    coordinates of point keep their values.  Points come in lexicographic
+    order.  Level k holds one coefficient per distinct suffix (e_k, ...) of
+    the exponent vectors, and setting coordinate k to x adds each one, times
+    x^e_k, onto its suffix (e_{k+1}, ...): (source, destination, exponent)
+    transitions compiled once.  Coefficients are plain ints over Z and F_p,
+    reduced mod p once per line, and use base.add/base.mul over F_p[t].  The
+    last level is a univariate SparsePoly, the line, evaluated once per point.
+    """
+    m = len(coords)
+    if not m:
+        yield tuple(point), SparsePoly(base, 0, terms).evaluate(())
+        return
+    nodes = [list(terms)]  # the suffixes at each level
+    steps = []  # (transitions, largest exponent) of each level but the last
+    for k in range(m - 1):
+        index, transitions = {}, []
+        for s, e in enumerate(nodes[k]):
+            transitions.append((s, index.setdefault(e[1:], len(index)), e[0]))
+        nodes.append(list(index))
+        steps.append((transitions, max((e[0] for e in nodes[k]), default=0)))
+    polynomial = base.is_polynomial
+    p = None if polynomial else base.p
+
+    def lines(k, coeffs):
+        if k == m - 1:
+            pairs = zip(nodes[k], coeffs)
+            if polynomial:
+                yield SparsePoly(base, 1, dict(pairs))
+            else:
+                line = {e: r for e, c in pairs if (r := c if p is None else c % p)}
+                yield SparsePoly._derived(base, 1, line)
+            return
+        transitions, top = steps[k]
+        width = len(nodes[k + 1])
+        for x in ranges[k]:
+            point[coords[k]] = x
+            if polynomial:
+                x = base.coerce(x)
+                powers = [base.one]
+                for _ in range(top):
+                    powers.append(base.mul(powers[-1], x))
+                nxt = [base.zero] * width
+                for s, d, e in transitions:
+                    nxt[d] = base.add(nxt[d], base.mul(coeffs[s], powers[e]))
+            else:
+                powers = [x**e for e in range(top + 1)]
+                nxt = [0] * width
+                for s, d, e in transitions:
+                    nxt[d] += coeffs[s] * powers[e]
+            yield from lines(k + 1, nxt)
+
+    last, values = coords[-1], ranges[-1]
+    for line in lines(0, list(terms.values())):
+        for x in values:
+            point[last] = x
+            yield tuple(point), line.evaluate((x,))
 
 
 def _check_budget(count: int, m: int, cap: int):
@@ -119,19 +184,37 @@ def search_monogenerators(
     cap: int = DEFAULT_ENUM_CAP,
     form: IndexForm | None = None,
 ) -> SearchResult:
-    """Scan the coordinate box |v_i| <= height for index-form values +-1.
+    """Find the index-form values +-1 in the coordinate box |v_i| <= height.
 
     When 1 is a basis element its coordinate is pinned to 0 (the form does
-    not involve it).  Witness order is lexicographic over the scanned box.
+    not involve it).  The box covers the m coordinates the form uses; the
+    others stay 0.  The form is homogeneous of degree d, so F(-v) =
+    (-1)^d * F(v): only the point 0 and the half of the box whose first
+    nonzero coordinate is positive are evaluated, 1 + ((2h+1)^m - 1)/2
+    points, and each witness w found there also gives -w.  Chart j of that
+    half sets the coordinates before the j-th to 0 and the j-th to
+    1..height, and varies the rest over the box.  Witnesses are sorted,
+    which is lexicographic order over the box.  Raises BudgetExceeded
+    before the first evaluation when (2h+1)^m exceeds cap.
     """
     if alg.base.kind != "Z":
         raise NotIntegerBase("monogenerator search needs base Z")
     check_height(height)
     if form is None:
         form = index_form(alg)
+    poly = form.form
+    used = poly.variables_used()
+    m = len(used)
     values = range(-height, height + 1)
     with stage(f"box search at height {height}"):
-        witnesses = [v for v, value in scan(form.form, values, cap) if value in (1, -1)]
+        _check_budget(len(values), m, cap)
+    walks = [_walk(poly.base, _constant(poly), [], [], [0] * poly.arity)]
+    for j, lead in enumerate(used):
+        chart = _cut(((e, c) for e, c in poly.terms.items() if not any(e[:lead])), used[j:])
+        ranges = [range(1, height + 1)] + [values] * (m - j - 1)
+        walks.append(_walk(poly.base, chart, used[j:], ranges, [0] * poly.arity))
+    found = [v for walk in walks for v, value in walk if value in (1, -1)]
+    witnesses = sorted(found + [tuple(-c for c in w) for w in found if any(w)])
     ident = alg.identity_basis_index()
     classes = []
     if ident is not None:

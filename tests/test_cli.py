@@ -266,6 +266,17 @@ class TestCommands:
         assert report["global"] == {"status": "NotMonogenic", "reason": f"common index divisor {p}"}
         assert report["artin_crosscheck"][-1] == {"p": p, "brute": False, "artin": False}
 
+    def test_shared_parser_keeps_defaults_between_calls(self, capsys):
+        # the parser is built once per process; an option given in one call
+        # must not become the default of the next
+        path = fixture_path("gaussian_integers")
+        heights = []
+        for argv in (["--height", "1"], []):
+            code, out, _ = run(capsys, "classify", path, "--json", *argv)
+            assert code == 0
+            heights.append(json.loads(out)["search"]["height"])
+        assert heights == [1, 10]
+
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])

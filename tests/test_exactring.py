@@ -552,25 +552,6 @@ class TestEvaluate:
         with pytest.raises(MonogenError):
             v(0).evaluate([1.5, 0, 0])
 
-    @settings(max_examples=200, deadline=None)
-    @given(int_polys(), st.integers(-9, 9))
-    def test_substitute_first(self, case, x):
-        poly, point = case
-        if poly.arity == 1:
-            return
-        rest = poly.substitute_first(x)
-        assert rest.arity == poly.arity - 1 and rest.base == poly.base
-        assert rest.evaluate(point[1:]) == poly.evaluate([x, *point[1:]])
-        if poly.base.p is not None:
-            assert all(0 < c < poly.base.p for c in rest.terms.values())
-
-    def test_substitute_first_zx(self):
-        t = SparsePoly.constant(ZX, 2, (0, 1))
-        f = t * v(0, 2, ZX) * v(0, 2, ZX) + v(0, 2, ZX) * v(1, 2, ZX)
-        assert f.substitute_first((1, 1)) == SparsePoly(
-            ZX, 1, {(0,): (0, 1, 2, 1), (1,): (1, 1)}
-        )
-
 
 class TestFactorInt:
     def test_small_values_against_sympy(self):

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from monogen.errors import BudgetExceeded, IdentityNotInBasis
 from monogen.algebra import power_basis_algebra, split_algebra
 from monogen.exactring import ZZ, Fp, FpX, SparsePoly
-from monogen.indexform import check_monogenerator
+from monogen.indexform import IndexForm, check_monogenerator
 from monogen.search import affine_normalize, projective_scan, scan, search_monogenerators
 from conftest import gaussian_order
 
@@ -47,12 +47,15 @@ def naive_scan(poly, values):
 
 @st.composite
 def scan_cases(draw):
-    """A Z or F_p polynomial, some of whose variables may be unused, and a value range."""
-    base = draw(st.sampled_from([ZZ, Fp(2), Fp(3), Fp(5), Fp(7)]))
+    """A Z, F_p or F_p[t] polynomial, some of whose variables may be unused, and a value range."""
+    base = draw(st.sampled_from([ZZ, Fp(2), Fp(3), Fp(5), Fp(7), FpX(2), FpX(3), FpX(5)]))
     arity = draw(st.integers(1, 5))
     live = draw(st.lists(st.booleans(), min_size=arity, max_size=arity))
     exps = st.tuples(*[st.integers(0, 3) if on else st.just(0) for on in live])
-    terms = draw(st.dictionaries(exps, st.integers(-20, 20), max_size=6))
+    coeffs = st.integers(-20, 20)
+    if base.is_polynomial:
+        coeffs = st.lists(coeffs, min_size=1, max_size=3)
+    terms = draw(st.dictionaries(exps, coeffs, max_size=6))
     poly = SparsePoly(base, arity, {e: base.coerce(c) for e, c in terms.items()})
     start = draw(st.integers(-3, 3))
     values = range(start, start + draw(st.integers(0, 4)))
@@ -79,6 +82,7 @@ class TestLineScan:
     @example((SparsePoly.constant(ZZ, 2, -4), range(0)))
     @example((SparsePoly(ZZ, 4, {(2, 0, 0, 1): 3, (0, 0, 0, 2): -1, (1, 0, 0, 0): 5}), range(-1, 3)))
     @example((SparsePoly(Fp(3), 5, {(0, 2, 0, 1, 0): 2, (0, 0, 0, 0, 0): 1}), range(2, 6)))
+    @example((SparsePoly(FpX(3), 3, {(2, 0, 1): (1, 2), (0, 0, 3): (0, 1), (1, 0, 0): (2,)}), range(-1, 3)))
     def test_matches_naive_reference(self, case):
         poly, values = case
         cap = max(1, len(values)) ** poly.arity
@@ -208,6 +212,55 @@ class TestSearch:
                 shifted = (w[0] + 1, w[1])
                 assert check_monogenerator(alg, shifted)["is_monogenerator"]
                 assert affine_normalize(alg, shifted) in res.classes
+
+
+@st.composite
+def half_box_cases(draw):
+    """A homogeneous Z form of degree 0-4 on an algebra of rank 1-4, and a height 0-3.
+
+    Some variables may be unused.  The algebra is Z^n, without 1 in its
+    basis, or a power basis, with 1 as its first element.
+    """
+    rank = draw(st.integers(1, 4))
+    degree = draw(st.integers(0, 4))
+    live = sorted(draw(st.sets(st.integers(0, rank - 1), min_size=1)))
+
+    def monomial(indices):
+        return tuple(indices.count(i) for i in range(rank))
+
+    picks = st.lists(st.sampled_from(live), min_size=degree, max_size=degree)
+    coeffs = st.sampled_from([-2, -1, 1, 2])
+    terms = draw(st.dictionaries(picks.map(monomial), coeffs, min_size=1, max_size=5))
+    form = IndexForm("random", rank, SparsePoly(ZZ, rank, terms))
+    if draw(st.booleans()):
+        alg = split_algebra(rank)
+    else:
+        alg = power_basis_algebra([-1] + [0] * (rank - 1) + [1])
+    return alg, form, draw(st.integers(0, 3))
+
+
+class TestHalfBox:
+    @settings(max_examples=150, deadline=None)
+    @given(half_box_cases())
+    @example((power_basis_algebra([-1, 1]), IndexForm("rank 1", 1, SparsePoly.constant(ZZ, 1, 1)), 2))
+    def test_matches_full_box(self, case):
+        alg, form, h = case
+        m = len(form.form.variables_used())
+        with pytest.MonkeyPatch.context() as mp:
+            calls = counting_evaluate(mp)
+            res = search_monogenerators(alg, h, (2 * h + 1) ** m, form)
+        assert len(calls) == 1 + ((2 * h + 1) ** m - 1) // 2
+        full = naive_scan(form.form, range(-h, h + 1))
+        witnesses = tuple(v for v, value in full if value in (1, -1))
+        assert res.witnesses == witnesses
+        if alg.identity_basis_index() is None:
+            assert res.classes == ()
+        else:
+            assert res.classes == tuple(sorted({affine_normalize(alg, w) for w in witnesses}))
+        cap = (2 * h + 1) ** m - 1
+        message = rf"^box search at height {h}: {2 * h + 1}\^{m} exceeds the enumeration cap {cap}$"
+        with pytest.raises(BudgetExceeded, match=message):
+            search_monogenerators(alg, h, cap, form)
 
 
 class TestAffineNormalize:
