@@ -8,7 +8,7 @@ associativity, the given 1), and ValidationError lists every violation.
 Orders in number fields enter through OrderPresentation (a monic minimal
 polynomial plus a rational basis matrix in the power basis); they are
 valid by construction once the closure check passes, so they skip the
-axiom check, as reductions mod p and changes of basis do.
+axiom check, as reductions mod p do.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .errors import (
     LengthMismatch,
     MonogenError,
     NonMonic,
-    NonUnimodular,
     NotClosedUnderMultiplication,
     NotIntegerBase,
     SingularBasisMatrix,
@@ -34,7 +33,6 @@ from .exactring import (
     ZZ,
     _tup_divmod,
     _tup_mul,
-    fp_rref,
     int_determinant,
     is_prime,
 )
@@ -47,8 +45,8 @@ class StructureAlgebra:
 
     The constructor raises ValidationError, listing every violated axiom,
     unless the table is commutative and associative with the given 1.
-    Algebras that are rings by construction (orders, reductions, changes
-    of basis) come from ``_derived`` instead, without the check.
+    Algebras that are rings by construction (orders and their reductions
+    mod p) come from ``_derived`` instead, without the check.
     """
 
     __slots__ = ("base", "rank", "constants", "identity", "label", "_table")
@@ -64,8 +62,7 @@ class StructureAlgebra:
         """An algebra known to be a ring, built without the axiom check.
 
         Reduction mod p keeps the axioms, which are integer identities in
-        the constants, a change of basis gives an isomorphic algebra, and
-        an order is a subring of Q[x]/(f).
+        the constants, and an order is a subring of Q[x]/(f).
         """
         alg = cls.__new__(cls)
         alg._fill(base, rank, constants, identity, label)
@@ -127,9 +124,6 @@ class StructureAlgebra:
                         out[k] = base.add(out[k], base.mul(c, t))
         return tuple(out)
 
-    def vec_add(self, v, w):
-        return tuple(self.base.add(a, b) for a, b in zip(v, w))
-
     def basis_vector(self, i):
         return tuple(
             self.base.one if j == i else self.base.zero for j in range(self.rank)
@@ -145,15 +139,6 @@ class StructureAlgebra:
             if k:
                 v = self.vec_mul(v, v)
         return out
-
-    def mult_matrix(self, v):
-        """Matrix of multiplication by sum v_i e_i; columns are images of e_j."""
-        n = self.rank
-        if len(v) != n:
-            raise LengthMismatch("coordinate vector must have length n")
-        v = tuple(self.base.coerce(c) for c in v)
-        cols = [self.vec_mul(v, self.basis_vector(j)) for j in range(n)]
-        return [[cols[j][k] for j in range(n)] for k in range(n)]
 
     # -- validation
 
@@ -189,34 +174,6 @@ class StructureAlgebra:
             raise MonogenError(f"{p} is not prime")
         label = f"{self.label} mod {p}"
         return self._derived(Fp(p), self.rank, self.constants, self.identity, label)
-
-    def change_basis(self, U) -> "StructureAlgebra":
-        """New basis e'_i = sum_a U[i][a] e_a; U must be unimodular over Z."""
-        n = self.rank
-        if len(U) != n or any(len(row) != n for row in U):
-            raise LengthMismatch("U must be n x n")
-        if self.base.kind not in ("Z", "Fp"):
-            raise NotIntegerBase("change of basis implemented for Z and F_p bases")
-        det = int_determinant(U)
-        if self.base.kind == "Z":
-            if det not in (1, -1):
-                raise NonUnimodular(f"det(U) = {det} is not a unit")
-            Uinv = _int_matrix_inverse_unimodular(U)
-        else:
-            if det % self.base.p == 0:
-                raise NonUnimodular("det(U) = 0 mod p")
-            Uinv = _fp_matrix_inverse(U, self.base.p)
-        base = self.base
-        columns = [[base.coerce(x) for x in col] for col in zip(*Uinv)]
-
-        def new_coords(w):
-            """Coordinates in the new basis of an element with old coordinates w."""
-            return [_dot(base, w, col) for col in columns]
-
-        rows = [tuple(base.coerce(x) for x in row) for row in U]
-        new_constants = [[new_coords(self.vec_mul(a, b)) for b in rows] for a in rows]
-        new_identity = new_coords(self.identity)
-        return self._derived(base, n, new_constants, new_identity, f"{self.label} (basis changed)")
 
     def discriminant(self) -> int:
         """det of the trace-pairing Gram matrix Tr(e_i e_j); base Z only.
@@ -266,28 +223,6 @@ class StructureAlgebra:
         return f"StructureAlgebra({self.label or 'rank %d' % self.rank})"
 
 
-def _dot(base, v, w):
-    acc = base.zero
-    for a, b in zip(v, w):
-        acc = base.add(acc, base.mul(a, b))
-    return acc
-
-
-def _int_matrix_inverse_unimodular(U):
-    inv = _rational_inverse([[Fraction(x) for x in row] for row in U])
-    return [[int(x) for x in row] for row in inv]
-
-
-def _fp_matrix_inverse(U, p):
-    """Inverse mod p: row-reduce [U | I] and read off the right half."""
-    n = len(U)
-    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(U)]
-    reduced, pivots = fp_rref(aug, p)
-    if pivots[:n] != list(range(n)):
-        raise NonUnimodular("matrix singular mod p")
-    return [row[n:] for row in reduced]
-
-
 def _rational_inverse(rows):
     n = len(rows)
     m = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
@@ -319,6 +254,8 @@ class OrderPresentation:
         n = len(self.minpoly) - 1
         if n < 1 or self.minpoly[-1] != 1:
             raise NonMonic("minimal polynomial must be monic of degree >= 1")
+        if n > RANK_CAP:  # before the basis, and the table, are built
+            raise InvalidAlgebra(f"rank must be in 1..{RANK_CAP}, got {n}")
         self.n = n
         self.basis = [[Fraction(x) for x in row] for row in basis]
         if len(self.basis) != n or any(len(row) != n for row in self.basis):

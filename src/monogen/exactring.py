@@ -17,7 +17,7 @@ Element encodings per base ring:
 
 from __future__ import annotations
 
-from itertools import count
+from itertools import combinations, count
 from math import gcd
 
 from .errors import (
@@ -607,28 +607,6 @@ class SparsePoly:
             return out
         raise BaseRingMismatch("integer coefficients need base Z or Z[t]")
 
-    # -- packed monomials
-
-    def packed(self, width: int) -> dict:
-        """Terms keyed by packed exponent vectors, width bits per variable.
-
-        Variable i holds bits width*i to width*(i+1) - 1.  While no exponent
-        reaches 2^width, a product of monomials is the sum of their keys.
-        """
-        return {
-            sum(e << (width * i) for i, e in enumerate(exps)): c
-            for exps, c in self.terms.items()
-        }
-
-    @classmethod
-    def from_packed(cls, base, arity: int, width: int, terms) -> "SparsePoly":
-        """Inverse of packed."""
-        mask = (1 << width) - 1
-        shifts = [width * i for i in range(arity)]
-        return cls(
-            base, arity, {tuple(k >> s & mask for s in shifts): c for k, c in terms.items()}
-        )
-
     # -- serialization
 
     def sorted_terms(self):
@@ -683,6 +661,15 @@ class SparsePoly:
 # determinants
 
 
+def _int_mul_into(acc, f, g):
+    """Add f*g into acc, for dicts of packed int keys to int coefficients."""
+    get = acc.get
+    for e2, c2 in g.items():
+        for e1, c1 in f.items():
+            e = e1 + e2
+            acc[e] = get(e, 0) + c1 * c2
+
+
 def packed_arithmetic(base: BaseRing):
     """(mul_into, normalize) for polynomials over base in packed form.
 
@@ -690,6 +677,7 @@ def packed_arithmetic(base: BaseRing):
     ``normalize(acc)`` drops zero terms.  Over Z and F_p the coefficients
     are plain ints, and F_p values are reduced once, in normalize.
     """
+    mul_into = _int_mul_into
     if base.is_polynomial:
         add, mul = base.add, base.mul
 
@@ -698,15 +686,6 @@ def packed_arithmetic(base: BaseRing):
                 for e1, c1 in f.items():
                     e = e1 + e2
                     acc[e] = add(acc[e], mul(c1, c2)) if e in acc else mul(c1, c2)
-
-    else:
-
-        def mul_into(acc, f, g):
-            get = acc.get
-            for e2, c2 in g.items():
-                for e1, c1 in f.items():
-                    e = e1 + e2
-                    acc[e] = get(e, 0) + c1 * c2
 
     p = base.p if base.kind == "Fp" else None
 
@@ -719,16 +698,35 @@ def packed_arithmetic(base: BaseRing):
 
 
 def determinant(m):
-    """Exact determinant by Laplace expansion, one minor per column subset.
+    """Exact determinant by Laplace expansion on blocked big-int coefficients.
 
     After row k, ``minors`` maps each (k+1)-column bitmask to the minor of
     rows 0..k on those columns.  Extending by column j of the next row
     crosses every chosen column above j, hence the sign.  Nothing is
-    divided, so the base ring only needs + and *.
+    divided, so the expansion needs only + and * of integers.
 
-    The entries are packed once (SparsePoly.packed).  No exponent of the
-    determinant exceeds the sum over rows of the row's largest exponent,
-    so a field of that many bits never carries into the next.
+    *Dehomogenize.*  If every row is homogeneous, of degree d_i say (which
+    is checked), every term of the determinant has degree sum(d_i).  Then
+    one variable is left out of the entries, and its exponent is restored
+    from that degree at the end.
+
+    *Block.*  A second variable, t itself over Z[t] and F_p[t], is carried
+    inside the integers.  An entry's terms are grouped by the exponents of
+    the remaining key variables, packed into one int so that a product of
+    monomials is the sum of their keys.  Each group becomes the integer
+    sum of c_e * 2^(B*e), e the exponent of the block variable, and a
+    product of two groups is one product of integers: y -> 2^B is a ring
+    homomorphism Z[y] -> Z.  The two variables are the pair that leaves
+    the entries the fewest keys.
+
+    *Decode.*  The final minor is read off in balanced base-2^B digits,
+    which returns each coefficient c of the determinant as long as
+    |c| < 2^(B-1).  A coefficient of the determinant is a signed sum of
+    products of one coefficient from each row, so |c| is at most the
+    product over rows of the row's L1 norm (the sum of the absolute values
+    of all its coefficients).  B is one more than the bit length of that
+    product.  F_p and F_p[t] are computed on their representatives in Z
+    and reduced once, after decoding.
     """
     n = _check_square(m)
     first = m[0][0]
@@ -736,23 +734,99 @@ def determinant(m):
     for row in m:
         for f in row:
             first._check_compatible(f)
-    bound = sum(max((max(e, default=0) for f in row for e in f.terms), default=0) for row in m)
-    width = max(bound.bit_length(), 1)
-    rows = [[f.packed(width) for f in row] for row in m]
-    mul_into, normalize = packed_arithmetic(base)
-    minors = {1 << j: f for j, f in enumerate(rows[0]) if f}
+    rows = [[f.terms for f in row] for row in m]
+    degrees, top, bound = [], [0] * arity, 1
+    for row in rows:
+        exps = [e for terms in row for e in terms]
+        if not exps:
+            return SparsePoly._derived(base, arity, {})
+        row_degrees = set(map(sum, exps))
+        degrees.append(row_degrees.pop() if len(row_degrees) == 1 else None)
+        # no exponent of x_i in the determinant exceeds top[i]
+        top = [t + max(column) for t, column in zip(top, zip(*exps))]
+        coefficients = [c for terms in row for c in terms.values()]
+        if base.is_polynomial:
+            coefficients = [x for c in coefficients for x in c]
+        bound *= sum(map(abs, coefficients))
+    B = bound.bit_length() + 1
+    width = max(max(top, default=0).bit_length(), 1)
+    field = (1 << width) - 1
+    shifts = [width * i for i in range(arity)]
+    packed = {}
+    for row in rows:
+        for terms in row:
+            for e in terms:
+                if e not in packed:
+                    packed[e] = sum(x << s for x, s in zip(e, shifts))
+    entries = [[packed[e] for e in terms] for row in rows for terms in row]
+    used = [i for i in range(arity) if top[i]]
+
+    def keys(carried):
+        kept = sum(field << shifts[i] for i in used if i not in carried)
+        return sum(len({k & kept for k in ks}) for ks in entries)
+
+    drop, blocks = None not in degrees, not base.is_polynomial
+    carried = list(min(combinations(used, min(drop + blocks, len(used))), key=keys))
+    dropped = carried.pop() if drop and carried else None
+    block = carried.pop() if blocks and carried else None
+    kept = [i for i in used if i not in (dropped, block)]
+    mask = sum(field << shifts[i] for i in kept)
+    # digits per block: one more than the block variable's degree bound
+    if base.is_polynomial:
+        span = 1 + sum(max(len(c) for terms in row for c in terms.values()) - 1 for row in rows)
+    else:
+        span = 1 + (top[block] if block is not None else 0)
+
+    def blocked(terms):
+        out = {}
+        for e, c in terms.items():
+            k = packed[e]
+            if base.is_polynomial:
+                c = sum(x << (B * j) for j, x in enumerate(c))
+            elif block is not None:
+                c <<= B * (k >> shifts[block] & field)
+            key = k & mask
+            out[key] = out.get(key, 0) + c  # distinct block exponents: no sum is 0
+        return out
+
+    minors = {1 << j: f for j, terms in enumerate(rows[0]) if (f := blocked(terms))}
     for row in rows[1:]:
-        signed = [(f, {e: base.neg(c) for e, c in f.items()}) for f in row]
+        signed = [(f, {k: -c for k, c in f.items()}) for f in map(blocked, row)]
         nxt = {}
-        for mask, minor in minors.items():
+        for cols, minor in minors.items():
             for j, (f, neg_f) in enumerate(signed):
                 bit = 1 << j
-                if mask & bit or not f:
+                if cols & bit or not f:
                     continue
-                acc = nxt.setdefault(mask | bit, {})
-                mul_into(acc, minor, neg_f if (mask >> j).bit_count() & 1 else f)
-        minors = {k: f for k, acc in nxt.items() if (f := normalize(acc))}
-    return SparsePoly.from_packed(base, arity, width, minors.get((1 << n) - 1, {}))
+                acc = nxt.setdefault(cols | bit, {})
+                _int_mul_into(acc, minor, neg_f if (cols >> j).bit_count() & 1 else f)
+        minors = {k: f for k, acc in nxt.items() if (f := {e: c for e, c in acc.items() if c})}
+
+    p, half, radix = base.p, 1 << (B - 1), 1 << B
+    total = sum(degrees) if drop else 0
+    terms = {}
+    for key, v in minors.get((1 << n) - 1, {}).items():
+        exps = [key >> s & field for s in shifts]
+        digits = []
+        for _ in range(span):
+            if not v:
+                break
+            d = v & (radix - 1)
+            v >>= B
+            if d >= half:  # balanced digit: borrow from the next one
+                d -= radix
+                v += 1
+            digits.append(d if p is None else d % p)
+        # over Z[t] and F_p[t] the digits are the coefficient, and block is None
+        for j, c in [(0, _tup_trim(digits))] if base.is_polynomial else enumerate(digits):
+            if c:
+                if block is not None:
+                    exps[block] = j
+                if dropped is not None:
+                    exps[dropped] = 0
+                    exps[dropped] = total - sum(exps)
+                terms[tuple(exps)] = c
+    return SparsePoly._derived(base, arity, terms)
 
 
 def _check_square(m):

@@ -19,17 +19,28 @@ from .algebra import StructureAlgebra
 def matrix_of_coefficients(alg: StructureAlgebra):
     """n x n matrix of SparsePoly; row i = coordinates of theta^(i-1).
 
-    The powers are built on packed monomials (SparsePoly.packed).
+    If 1 is basis element e_k, theta omits it: theta = sum_{j != k} x_j e_j.
+    Adding x_k * 1 to theta changes each power by a combination of the
+    lower ones, which leaves the determinant alone, so the index form does
+    not involve x_k and the matrix never carries it.
+
+    The powers are built on exponent vectors packed into one int, width
+    bits per variable, so a product of monomials is the sum of their keys.
     Multiplication by theta sends a_i e_i to a_i * sum_j c_ijk x_j in
     coordinate k, so each nonzero linear form sum_j c_ijk x_j is packed once.
     """
     base, n = alg.base, alg.rank
+    pinned = alg.identity_basis_index()
     width = max((n - 1).bit_length(), 1)
     times_theta = []
     for plane in alg.constants:
         forms = []
         for k in range(n):
-            form = {1 << (width * j): c[k] for j, c in enumerate(plane) if not base.is_zero(c[k])}
+            form = {
+                1 << (width * j): c[k]
+                for j, c in enumerate(plane)
+                if j != pinned and not base.is_zero(c[k])
+            }
             if form:
                 forms.append((k, form))
         times_theta.append(forms)
@@ -44,7 +55,20 @@ def matrix_of_coefficients(alg: StructureAlgebra):
                     mul_into(nxt[k], a, form)
         row = [normalize(acc) for acc in nxt]
         rows.append(row)
-    return [[SparsePoly.from_packed(base, n, width, f) for f in r] for r in rows]
+    mask = (1 << width) - 1
+    shifts = [width * j for j in range(n)]
+    exps_of = {}  # the entries of a row share their monomials
+
+    def unpacked(terms):
+        out = {}
+        for key, c in terms.items():
+            exps = exps_of.get(key)
+            if exps is None:
+                exps = exps_of[key] = tuple(key >> s & mask for s in shifts)
+            out[exps] = c
+        return SparsePoly._derived(base, n, out)
+
+    return [[unpacked(f) for f in r] for r in rows]
 
 
 @dataclass(frozen=True)
@@ -80,15 +104,7 @@ def index_form(alg: StructureAlgebra) -> IndexForm:
     if n == 1:
         form = SparsePoly.constant(alg.base, 1, 1)
         return IndexForm(alg.label, 1, form)
-    m = matrix_of_coefficients(alg)
-    k = alg.identity_basis_index()
-    if k is not None:
-        # theta and theta - x_k * 1 have the same index form: pin x_k = 0
-        m = [
-            [SparsePoly(alg.base, n, {e: c for e, c in f.terms.items() if not e[k]}) for f in r]
-            for r in m
-        ]
-    det = determinant(m).canonical_sign()
+    det = determinant(matrix_of_coefficients(alg)).canonical_sign()
     expected = n * (n - 1) // 2
     if not det.is_homogeneous(expected):
         raise InvalidAlgebra(

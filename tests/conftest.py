@@ -8,10 +8,12 @@ from sympy.polys.matrices import DomainMatrix
 from monogen.algebra import (
     OrderPresentation,
     StructureAlgebra,
+    _rational_inverse,
     power_basis_algebra,
     split_algebra,
 )
-from monogen.exactring import ZZ
+from monogen.errors import LengthMismatch, NonUnimodular, NotIntegerBase
+from monogen.exactring import ZZ, fp_rref, int_determinant
 from monogen.fixtures import corpus_files, load_fixture
 
 
@@ -28,6 +30,75 @@ def corpus():
 @pytest.fixture(scope="session")
 def corpus_z(corpus):
     return [(n, a, e) for n, a, e in corpus if a.base.kind == "Z"]
+
+
+def vec_add(alg, v, w):
+    return tuple(alg.base.add(a, b) for a, b in zip(v, w))
+
+
+def mult_matrix(alg, v):
+    """Matrix of multiplication by sum v_i e_i; columns are images of e_j."""
+    n = alg.rank
+    if len(v) != n:
+        raise LengthMismatch("coordinate vector must have length n")
+    v = tuple(alg.base.coerce(c) for c in v)
+    cols = [alg.vec_mul(v, alg.basis_vector(j)) for j in range(n)]
+    return [[cols[j][k] for j in range(n)] for k in range(n)]
+
+
+def change_basis(alg, U):
+    """alg in the basis e'_i = sum_a U[i][a] e_a; U must be unimodular over Z.
+
+    The result is isomorphic to alg, so a ring, and is built without the
+    axiom check.
+    """
+    n, base = alg.rank, alg.base
+    if len(U) != n or any(len(row) != n for row in U):
+        raise LengthMismatch("U must be n x n")
+    if base.kind not in ("Z", "Fp"):
+        raise NotIntegerBase("change of basis implemented for Z and F_p bases")
+    det = int_determinant(U)
+    if base.kind == "Z":
+        if det not in (1, -1):
+            raise NonUnimodular(f"det(U) = {det} is not a unit")
+        Uinv = int_matrix_inverse_unimodular(U)
+    else:
+        if det % base.p == 0:
+            raise NonUnimodular("det(U) = 0 mod p")
+        Uinv = fp_matrix_inverse(U, base.p)
+    columns = [[base.coerce(x) for x in col] for col in zip(*Uinv)]
+
+    def new_coords(w):
+        """Coordinates in the new basis of an element with old coordinates w."""
+        return [_dot(base, w, col) for col in columns]
+
+    rows = [tuple(base.coerce(x) for x in row) for row in U]
+    constants = [[new_coords(alg.vec_mul(a, b)) for b in rows] for a in rows]
+    return StructureAlgebra._derived(
+        base, n, constants, new_coords(alg.identity), f"{alg.label} (basis changed)"
+    )
+
+
+def _dot(base, v, w):
+    acc = base.zero
+    for a, b in zip(v, w):
+        acc = base.add(acc, base.mul(a, b))
+    return acc
+
+
+def int_matrix_inverse_unimodular(U):
+    inv = _rational_inverse([[Fraction(x) for x in row] for row in U])
+    return [[int(x) for x in row] for row in inv]
+
+
+def fp_matrix_inverse(U, p):
+    """Inverse mod p: row-reduce [U | I] and read off the right half."""
+    n = len(U)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(U)]
+    reduced, pivots = fp_rref(aug, p)
+    if pivots[:n] != list(range(n)):
+        raise NonUnimodular("matrix singular mod p")
+    return [row[n:] for row in reduced]
 
 
 def dedekind_order():
@@ -72,7 +143,7 @@ def random_algebra(rng, max_rank=4, keep_identity_first=True):
     alg = power_basis_algebra(random_monic(rng, n), f"random deg {n}")
     if rng.random() < 0.5:
         U = random_unimodular(rng, n, fix_first_row=keep_identity_first)
-        alg = alg.change_basis(U)
+        alg = change_basis(alg, U)
         assert alg.validate() == []
     return alg
 

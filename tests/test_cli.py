@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from monogen import fixtures, localmono
+from monogen.algebra import OrderPresentation
 from monogen.cli import main
 from monogen.fixtures import corpus_dir, parse_input
 from monogen.errors import NotClosedUnderMultiplication, ParseError
@@ -277,6 +278,20 @@ class TestCommands:
             heights.append(json.loads(out)["search"]["height"])
         assert heights == [1, 10]
 
+    def test_rank_beyond_cap_refused_before_the_table(self, capsys, tmp_path, monkeypatch):
+        def no_table(self, label=""):
+            raise AssertionError("the table was built before the rank was checked")
+
+        monkeypatch.setattr(OrderPresentation, "to_algebra", no_table)
+        n = 80
+        basis = [[int(i == j) for j in range(n)] for i in range(n)]
+        path = tmp_path / "rank80.json"
+        path.write_text(json.dumps({"order": {"minpoly": [-1, -1] + [0] * (n - 2) + [1],
+                                              "basis": basis}}))
+        code, out, err = run(capsys, "index-form", str(path))
+        assert code == 1 and out == ""
+        assert "rank must be in 1..12, got 80" in err
+
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])
@@ -303,6 +318,15 @@ class TestDeterminism:
         b = subprocess.run(cmd, capture_output=True, text=True)
         assert a.returncode == 0 and b.returncode == 0
         assert a.stdout == b.stdout
+
+    def test_classify_rank_six_matches_golden(self, capsys):
+        here = Path(__file__).parent
+        golden = (here / "trinomial6_classify_golden.json").read_text(encoding="utf-8")
+        code, out, _ = run(
+            capsys, "classify", str(here / "trinomial6.json"), "--height", "1", "--json"
+        )
+        assert code == 0
+        assert out == golden
 
     def test_classify_byte_identical(self, capsys):
         _, out1, _ = run(capsys, "classify", fixture_path("sqrt2_sqrt3"), "--json")

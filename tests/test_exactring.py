@@ -1,12 +1,13 @@
 import random
 import time
 import warnings
+from itertools import combinations, permutations
 from math import prod
 
 import pytest
 import sympy
 from sympy.utilities.exceptions import SymPyDeprecationWarning
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from monogen import exactring
 from monogen.algebra import split_algebra
@@ -252,6 +253,73 @@ class TestPackedDeterminant:
         det = determinant(m)
         assert det == x1**top * x3 - x2**top * x3
         assert set(det.terms) == {(top, 0, 1), (0, top, 1)}
+
+
+def _composition(cuts, d):
+    """The exponent vector of degree d cut at the sorted points cuts."""
+    bounds = [0, *sorted(cuts), d]
+    return tuple(b - a for a, b in zip(bounds, bounds[1:]))
+
+
+@st.composite
+def leibniz_cases(draw):
+    """Square matrix (n <= 5) over Z, F_p, Z[t] or F_p[t] in 1..3 variables,
+    with rows all homogeneous or not, zero entries, zero rows and
+    coefficients of either sign up to 2^40."""
+    base = draw(st.sampled_from([ZZ, Fp(7), Fp(2**31 - 1), ZX, FpX(5)]))
+    n, arity = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    homogeneous = draw(st.booleans())
+    big = st.integers(-(2**40), 2**40)
+    coeff = st.lists(big, max_size=3) if base.is_polynomial else big
+    m = []
+    for _ in range(n):
+        if homogeneous:
+            d = draw(st.integers(0, 4))
+            cuts = st.lists(st.integers(0, d), min_size=arity - 1, max_size=arity - 1)
+            exps = cuts.map(lambda c, d=d: _composition(c, d))
+        else:
+            exps = st.tuples(*[st.integers(0, 4)] * arity)
+        entry = st.dictionaries(exps, coeff, max_size=3)
+        zero_row = draw(st.integers(0, 9)) == 0
+        m.append([
+            SparsePoly(base, arity, {} if zero_row else
+                       {e: base.coerce(c) for e, c in draw(entry).items()})
+            for _ in range(n)
+        ])
+    return m
+
+
+def leibniz(m):
+    """The determinant as the sum over permutations of signed products."""
+    base, arity = m[0][0].base, m[0][0].arity
+    total = SparsePoly.zero(base, arity)
+    for perm in permutations(range(len(m))):
+        term = SparsePoly.constant(base, arity, 1)
+        for i, j in enumerate(perm):
+            term = term * m[i][j]
+            if term.is_zero:
+                break
+        inversions = sum(a > b for a, b in combinations(perm, 2))
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+# diag(2^40 x1, ..., 2^40 x1): the determinant's one coefficient, 2^200,
+# equals the bound on it, the product of the rows' L1 norms
+_AT_THE_BOUND = [
+    [SparsePoly(ZZ, 1, {(1,): 2**40} if i == j else {}) for j in range(5)] for i in range(5)
+]
+
+
+class TestBlockedDeterminant:
+    @settings(max_examples=120, deadline=None)
+    @given(leibniz_cases())
+    @example(_AT_THE_BOUND)
+    def test_equals_leibniz(self, m):
+        assert determinant(m) == leibniz(m)
+
+    def test_coefficient_at_the_bound(self):
+        assert determinant(_AT_THE_BOUND).terms == {(5,): 2**200}
 
 
 def _at_t(cf, t0):

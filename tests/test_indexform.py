@@ -18,7 +18,14 @@ from monogen.indexform import (
     index_form,
     matrix_of_coefficients,
 )
-from conftest import dedekind_order, gaussian_order, random_algebra, random_unimodular
+from conftest import (
+    change_basis,
+    dedekind_order,
+    gaussian_order,
+    mult_matrix,
+    random_algebra,
+    random_unimodular,
+)
 
 
 def difference_product(n):
@@ -39,12 +46,12 @@ class TestMatrixOfCoefficients:
                 assert m[i][j] == xs[j] ** i
 
     def test_gaussian(self):
+        # 1 is e_1, so theta = x2*e_2 and x1 never appears
         m = matrix_of_coefficients(gaussian_order())
         one = SparsePoly.constant(ZZ, 2, 1)
         zero = SparsePoly.zero(ZZ, 2)
-        x1 = SparsePoly.variable(ZZ, 2, 0)
         x2 = SparsePoly.variable(ZZ, 2, 1)
-        assert m == [[one, zero], [x1, x2]]
+        assert m == [[one, zero], [zero, x2]]
 
     def test_rank_one(self):
         alg = power_basis_algebra([1, 1])  # x + 1: rank 1
@@ -102,15 +109,37 @@ def conductor_orders(draw):
     return alg, perm.index(0)
 
 
+def full_power_matrix(alg):
+    """Rows: the coordinates of theta^0, ..., theta^(n-1) for the full generic
+    element theta = x_1 e_1 + ... + x_n e_n, coordinate of 1 included."""
+    n, base = alg.rank, alg.base
+    xs = [SparsePoly.variable(base, n, j) for j in range(n)]
+    row = [SparsePoly.constant(base, n, u) for u in alg.identity]
+    rows = [row]
+    for _ in range(n - 1):
+        nxt = [SparsePoly.zero(base, n) for _ in range(n)]
+        for i, a in enumerate(row):
+            for j, x in enumerate(xs):
+                ax = a * x
+                for k, c in enumerate(alg.constants[i][j]):
+                    if c:
+                        nxt[k] = nxt[k] + ax * SparsePoly.constant(base, n, c)
+        row = nxt
+        rows.append(row)
+    return rows
+
+
 class TestPinnedIdentity:
-    """index_form drops x_k, the coordinate of 1, before the determinant."""
+    """matrix_of_coefficients leaves out x_k, the coordinate of 1."""
 
     @settings(max_examples=60, deadline=None)
     @given(conductor_orders())
     def test_pinned_form_equals_full_determinant(self, case):
         alg, k = case
         assert alg.identity_basis_index() == k
-        full = determinant(matrix_of_coefficients(alg)).canonical_sign()
+        m = matrix_of_coefficients(alg)
+        assert all(not e[k] for row in m for f in row for e in f.terms)
+        full = determinant(full_power_matrix(alg)).canonical_sign()
         assert index_form(alg).form == full
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -132,6 +161,19 @@ class TestPinnedIdentity:
             got.append(form.evaluate(pt))
             want.append(int_determinant([[f.evaluate(pt) for f in row] for row in m]))
         assert got in (want, [-w for w in want])
+
+    def test_rank_seven_trinomial(self):
+        # the index at v is the determinant of the coordinates of 1, v, ..., v^6
+        alg = power_basis_algebra([-1, -1, 0, 0, 0, 0, 0, 1], "x^7 - x - 1")
+        form = index_form(alg)
+        assert len(form.form.terms) == 63534
+        rng = random.Random(31)
+        got, want = [], []
+        for _ in range(6):
+            pt = [rng.randint(-3, 3) for _ in range(7)]
+            got.append(form.evaluate(pt))
+            want.append(int_determinant([alg.element_power(pt, i) for i in range(7)]))
+        assert any(want) and got in (want, [-w for w in want])
 
 
 class TestEvaluate:
@@ -197,7 +239,7 @@ class TestProperties:
             alg = random_algebra(rng)
             n = alg.rank
             U = random_unimodular(rng, n)
-            changed = alg.change_basis(U)
+            changed = change_basis(alg, U)
             assert changed.validate() == []
             for _ in range(5):
                 v = [rng.randint(-3, 3) for _ in range(n)]
@@ -229,7 +271,7 @@ class TestProperties:
 def _charpoly(alg, v):
     """det(x*I - mult_matrix(v)) as an integer coefficient list."""
     n = alg.rank
-    m = alg.mult_matrix(v)
+    m = mult_matrix(alg, v)
     x = SparsePoly.variable(ZZ, 1, 0)
     mat = [
         [
