@@ -33,7 +33,7 @@ from .exactring import (
     ZZ,
     _tup_divmod,
     _tup_mul,
-    int_determinant,
+    int_adjugate,
     is_prime,
 )
 
@@ -69,8 +69,8 @@ class StructureAlgebra:
         return alg
 
     def _fill(self, base, rank, constants, identity, label):
-        if not (1 <= rank <= RANK_CAP):
-            raise InvalidAlgebra(f"rank must be in 1..{RANK_CAP}, got {rank}")
+        if type(rank) is not int or not 1 <= rank <= RANK_CAP:  # a JSON true is no rank
+            raise InvalidAlgebra(f"rank must be in 1..{RANK_CAP}, got {rank!r}")
         self.base = base
         self.rank = rank
         self.constants = tuple(
@@ -185,7 +185,7 @@ class StructureAlgebra:
         c, n = self.constants, self.rank
         traces = [sum(c[k][j][j] for j in range(n)) for k in range(n)]
         gram = [[sum(x * t for x, t in zip(c[i][j], traces)) for j in range(n)] for i in range(n)]
-        return int_determinant(gram)
+        return int_adjugate(gram)[0]
 
     def identity_basis_index(self):
         """Index k if the identity coordinates are the k-th unit vector, else None."""
@@ -223,23 +223,6 @@ class StructureAlgebra:
         return f"StructureAlgebra({self.label or 'rank %d' % self.rank})"
 
 
-def _rational_inverse(rows):
-    n = len(rows)
-    m = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col] != 0), None)
-        if piv is None:
-            raise SingularBasisMatrix("basis matrix is singular")
-        m[col], m[piv] = m[piv], m[col]
-        d = m[col][col]
-        m[col] = [v / d for v in m[col]]
-        for i in range(n):
-            if i != col and m[i][col] != 0:
-                c = m[i][col]
-                m[i] = [a - c * b for a, b in zip(m[i], m[col])]
-    return [row[n:] for row in m]
-
-
 class OrderPresentation:
     """Monic integer minimal polynomial plus a rational basis matrix.
 
@@ -265,36 +248,39 @@ class OrderPresentation:
         """Structure constants of the module spanned by the basis rows.
 
         With the basis as M/D, M an integer matrix, b_i*b_j has coordinates
-        P*adj(M)/(D*det M), where P = M_i*M_j mod f in integers.  Raises
-        NotClosedUnderMultiplication if one of them, or of 1, is not an
-        integer; otherwise the span is a subring of Q[x]/(f), a ring.
+        P*adj(M)/(D*det M), where P = M_i*M_j mod f in integers; det M and
+        adj M come from one int_adjugate pass.  Raises SingularBasisMatrix
+        when det M == 0, and NotClosedUnderMultiplication if a coordinate of
+        a product, or of 1, is not an integer; otherwise the span is a
+        subring of Q[x]/(f), a ring.
         """
         n = self.n
         D = lcm(*(x.denominator for row in self.basis for x in row))
-        M = [[int(x * D) for x in row] for row in self.basis]
-        det = int_determinant(M)
-        inverse = _rational_inverse([[Fraction(x) for x in row] for row in M])
-        adj_columns = [[int(x * det) for x in col] for col in zip(*inverse)]
+        M = [[x.numerator * (D // x.denominator) for x in row] for row in self.basis]
+        det, adj = int_adjugate(M)
+        if adj is None:
+            raise SingularBasisMatrix("basis matrix is singular")
+        scale, adj_columns = D * det, list(zip(*adj))
 
         def coordinates(P):
-            """(q, r) of each coordinate of P/D^2, power basis, as q + r/(D*det M)."""
-            return [divmod(sum(a * b for a, b in zip(P, col)), D * det) for col in adj_columns]
+            """Each coordinate of P/D^2, power basis, times D*det M."""
+            return [sum(a * b for a, b in zip(P, col)) for col in adj_columns]
 
         constants = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
                 coords = coordinates(_tup_divmod(_tup_mul(M[i], M[j]), self.minpoly)[1])
-                for k, (q, r) in enumerate(coords):
-                    if r:
+                for k, c in enumerate(coords):
+                    if c % scale:
                         raise NotClosedUnderMultiplication(
                             f"product b{i + 1}*b{j + 1} has non-integral coordinate "
-                            f"{q + Fraction(r, D * det)} on basis element {k + 1}"
+                            f"{Fraction(c, scale)} on basis element {k + 1}"
                         )
-                constants[i][j] = constants[j][i] = [q for q, _ in coords]
+                constants[i][j] = constants[j][i] = [c // scale for c in coords]
         identity = coordinates((D * D,))
-        if any(r for _, r in identity):
+        if any(c % scale for c in identity):
             raise NotClosedUnderMultiplication("1 is not in the integer span of the basis")
-        return StructureAlgebra._derived(ZZ, n, constants, [q for q, _ in identity], label)
+        return StructureAlgebra._derived(ZZ, n, constants, [c // scale for c in identity], label)
 
     def to_json(self):
         return {
@@ -314,7 +300,7 @@ class OrderPresentation:
 def power_basis_algebra(minpoly, label: str = "") -> StructureAlgebra:
     """Z[x]/(f) with the power basis."""
     n = len(minpoly) - 1
-    ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    ident = [[int(i == j) for j in range(n)] for i in range(n)]
     return OrderPresentation(minpoly, ident).to_algebra(label=label)
 
 

@@ -2,10 +2,14 @@
 
 Computes the nilradical, splits the algebra into local factors through
 its Frobenius-fixed subalgebra, and applies the tangent-dimension and
-point-counting criteria for fiber monogenicity.  The eigenvalues that
-separate the factors are found by Berlekamp's root splitting, so the
-cost does not grow with p.  Serves as an oracle
-independent of brute-force index-form enumeration.
+point-counting criteria for fiber monogenicity.  All linear algebra is
+fp_rref and fp_kernel: the minimal polynomial of a fixed element is the
+first kernel vector of its powers, and its roots, the eigenvalues that
+separate the factors, come from Berlekamp's root splitting, so the cost
+does not grow with p.  Each factor's residue degree, tangent dimension
+and nilpotency index are read off the ranks of one chain of powers of its
+maximal ideal.  Serves as an oracle independent of brute-force
+index-form enumeration.
 """
 
 from __future__ import annotations
@@ -15,23 +19,6 @@ from dataclasses import dataclass
 from .errors import InvalidAlgebra, SplitFailure
 from .exactring import berlekamp_factor, fp_kernel, fp_rref, necklace_count
 from .algebra import StructureAlgebra
-
-
-# ---------------------------------------------------------------------------
-# linear algebra over F_p
-
-
-def solve_linear(columns, target, p):
-    """Coefficients c with sum c_i * columns[i] = target, or None."""
-    k = len(columns)
-    aug = [[col[i] for col in columns] + [t] for i, t in enumerate(target)]
-    reduced, pivots = fp_rref(aug, p)
-    if k in pivots:
-        return None
-    sol = [0] * k
-    for row, col in zip(reduced, pivots):
-        sol[col] = row[k]
-    return sol
 
 
 # ---------------------------------------------------------------------------
@@ -117,29 +104,33 @@ def _primitive_idempotents(alg, frob):
     """
     p, n = alg.base.p, alg.rank
     fixed = fp_kernel([[(frob[j][i] - (i == j)) % p for j in range(n)] for i in range(n)], p)
+    r = len(fixed)
     idempotents = [alg.identity]
     for b in fixed:
-        if len(idempotents) == len(fixed):
+        if len(idempotents) == r:
             break
-        idempotents = [d for e in idempotents for d in _split(alg, e, b)]
+        idempotents = [d for e in idempotents for d in _split(alg, e, b, min(r, p))]
     return idempotents
 
 
-def _split(alg, e, b):
+def _split(alg, e, b, k):
     """Projectors of e*A onto the eigenspaces of b*e.
 
-    b is a combination of primitive idempotents, so its minimal polynomial
-    in e*A has distinct roots in F_p (found by Berlekamp's root splitting),
-    and the Lagrange polynomial at each root, evaluated at b*e, is the
-    projector onto that root's eigenspace.
+    b is a combination of primitive idempotents, so b*e = sum c_i e_i over
+    the primitive idempotents e_i of e*A, with c_i in F_p.  Its minimal
+    polynomial has distinct roots, no more than the factors or than p, and
+    k = min(r, p) bounds both, so e, b*e, ..., (b*e)^k are dependent.  The
+    first vector of their F_p kernel is the monic minimal polynomial; its
+    roots come from Berlekamp's root splitting, and the Lagrange
+    polynomial at each root, evaluated at b*e, is the projector onto that
+    root's eigenspace.
     """
     p = alg.base.p
     be = alg.vec_mul(b, e)
-    powers, cur = [e], be
-    while (sol := solve_linear(powers, cur, p)) is None:
-        powers.append(cur)
-        cur = alg.vec_mul(cur, be)
-    roots = berlekamp_factor([-c for c in sol] + [1], p)
+    powers = [e, be]
+    while len(powers) <= k:
+        powers.append(alg.vec_mul(powers[-1], be))
+    roots = berlekamp_factor(fp_kernel(list(zip(*powers)), p)[0], p)
     projectors = []
     for c in roots:
         proj = e
@@ -166,21 +157,14 @@ def decompose(alg: StructureAlgebra) -> ArtinDecomposition:
     for e in _primitive_idempotents(alg, frob):
         fac_vectors = [alg.vec_mul(e, alg.basis_vector(j)) for j in range(n)]
         dim = len(fp_rref(fac_vectors, p)[0])
-        # maximal ideal = e * N
-        m_vectors = [alg.vec_mul(e, v) for v in nil_rows]
-        m_basis, _ = fp_rref(m_vectors, p)
-        m_dim = len(m_basis)
-        f = dim - m_dim
-        m_sq = [alg.vec_mul(a, b) for a in m_basis for b in m_basis]
-        m_sq_basis, _ = fp_rref(m_sq, p)
-        tangent = (m_dim - len(m_sq_basis)) // f
-        nilpotency = 1
-        cur = m_basis
-        while cur:
-            nilpotency += 1
-            nxt = [alg.vec_mul(a, b) for a in cur for b in m_basis]
-            cur, _ = fp_rref(nxt, p)
-        results.append((LocalFactor(dim, f, tangent, nilpotency), e))
+        # the chain m, m^2, ..., 0 of powers of the maximal ideal m = e * N
+        chain = [fp_rref([alg.vec_mul(e, v) for v in nil_rows], p)[0]]
+        while chain[-1]:
+            chain.append(fp_rref([alg.vec_mul(a, b) for a in chain[-1] for b in chain[0]], p)[0])
+        ranks = [len(power) for power in chain] + [0]
+        f = dim - ranks[0]
+        tangent = (ranks[0] - ranks[1]) // f
+        results.append((LocalFactor(dim, f, tangent, len(chain)), e))
 
     results.sort(key=lambda fe: (fe[0].dimension, fe[0].residue_degree, fe[0].tangent_dim, fe[1]))
     factors = tuple(f for f, _ in results)

@@ -1,12 +1,13 @@
 """Exact arithmetic substrate.
 
 Base rings (Z, F_p, Z[t], F_p[t]), sparse multivariate polynomials in
-graded-lex canonical form, symbolic and integer determinants, row
-reduction over F_p, roots over F_p by Berlekamp's splitting (cost
-polynomial in log p, not a walk over F_p), necklace counts, and
-integer-polynomial discriminants.  Univariate polynomials are dense
-tuples, constant term first, and the _tup_* helpers are their only
-arithmetic: over Z and Q (Fractions), or over F_p when given p.
+graded-lex canonical form, the symbolic determinant, one elimination over
+Z (int_adjugate: fraction-free, giving det and adjugate together), one
+over F_p (fp_rref, with fp_kernel on top), roots over F_p by Berlekamp's
+splitting (cost polynomial in log p, not a walk over F_p), necklace
+counts, and integer-polynomial discriminants.  Univariate polynomials are
+dense tuples, constant term first, and the _tup_* helpers are their only
+arithmetic: over Z, or over F_p when given p.
 
 Element encodings per base ring:
   Z    -> python int
@@ -17,7 +18,7 @@ Element encodings per base ring:
 
 from __future__ import annotations
 
-from itertools import combinations, count
+from itertools import chain, combinations, count
 from math import gcd
 
 from .errors import (
@@ -79,20 +80,23 @@ def is_prime(n: int) -> bool:
 def factor_int(n: int) -> dict:
     """Factorization {prime: exponent} of |n|.
 
-    Trial division by the primes below 1000, then perfect-power roots and
-    Pollard-Brent splitting of the cofactor.  On a cofactor beyond the
-    primality test, Pollard-Brent runs within POLLARD_BRENT_BUDGET and then
-    raises BudgetExceeded.
+    Trial division by the primes below 1000 stops once q^2 exceeds what is
+    left, which is then 1 or a prime.  A cofactor that outlasts it goes
+    through perfect-power roots and Pollard-Brent splitting.  On a cofactor
+    beyond the primality test, Pollard-Brent runs within
+    POLLARD_BRENT_BUDGET and then raises BudgetExceeded.
     """
     n = abs(n)
     out = {}
-    if n <= 1:
-        return out
-    for q in (2, *range(3, 1000, 2)):  # a composite q never divides what is left
+    for q in chain((2,), range(3, 1000, 2)):  # a composite q never divides what is left
+        if q * q > n:  # what is left is 1 or a prime
+            if n > 1:
+                out[n] = 1
+            return out
         while n % q == 0:
             out[q] = out.get(q, 0) + 1
             n //= q
-    stack = [(n, 1)] if n > 1 else []
+    stack = [(n, 1)]
     while stack:
         m, e = stack.pop()
         root, k = _perfect_power(m)
@@ -117,7 +121,11 @@ def _iroot(n: int, k: int) -> int:
 
 
 def _perfect_power(m: int):
-    """(r, k) with m = r^k for some k > 1, else (m, 1); m has no prime below 1000."""
+    """(r, k) with m = r^k for some k > 1, else (m, 1).
+
+    m has no prime factor below 1000, so a root r is above 2^9 and
+    k <= m.bit_length() // 9.
+    """
     for k in range(2, m.bit_length() // 9 + 1):
         r = _iroot(m, k)
         if r**k == m:
@@ -161,7 +169,7 @@ def _pollard_brent(n: int, budget: int | None = None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# dense univariate helpers over Z, Q and F_p (tuples, constant first)
+# dense univariate helpers over Z and F_p (tuples, constant first)
 
 
 def _tup_trim(c):
@@ -317,9 +325,6 @@ class BaseRing:
             return (-a) % self.p
         return _tup_neg(a, self.p)
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
     def mul(self, a, b):
         if self.kind == "Z":
             return a * b
@@ -359,9 +364,6 @@ class BaseRing:
         if self.kind in ("Z", "Fp"):
             return a
         return list(a)
-
-    def elem_from_json(self, v):
-        return self.coerce(v)
 
     def format_elem(self, a, var: str = "t") -> str:
         if self.kind in ("Z", "Fp"):
@@ -650,7 +652,7 @@ class SparsePoly:
     def from_json(cls, d):
         base = BaseRing.from_json(d["base"])
         arity = len(d["vars"])
-        terms = {tuple(e): base.elem_from_json(c) for c, e in d["terms"]}
+        terms = {tuple(e): base.coerce(c) for c, e in d["terms"]}
         return cls(base, arity, terms)
 
     def __repr__(self):
@@ -836,28 +838,33 @@ def _check_square(m):
     return n
 
 
-def int_determinant(m):
-    """Bareiss determinant of a square integer matrix."""
-    n = len(m)
-    if n == 0 or any(len(r) != n for r in m):
-        raise NonSquare("matrix is not square and nonempty")
-    a = [list(r) for r in m]
+def int_adjugate(m):
+    """(det m, adj m) of a square integer matrix, by one fraction-free Gauss-Jordan pass.
+
+    Bareiss elimination on [m | I] clears each pivot column above and below
+    the pivot.  After pivot k every entry is d_k times its value in rational
+    Gauss-Jordan elimination, d_k the leading (k+1)-minor of the row-swapped
+    m, so each division by the previous pivot is exact and the pivot row
+    stays as it is.  At the end [m | I] is [d*I | d*m^-1], d = +-det m.
+    adj is None exactly when det m == 0.
+    """
+    n = _check_square(m)
+    a = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(m)]
     sign, prev = 1, 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return 0, None
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        pivot_row, d = a[k], a[k][k]
+        for i, row in enumerate(a):
+            if i != k:
+                c = row[k]
+                a[i] = [(d * x - c * y) // prev for x, y in zip(row, pivot_row)]
+        prev = d
+    return sign * prev, [[sign * x for x in row[n:]] for row in a]
 
 
 # ---------------------------------------------------------------------------
@@ -1009,4 +1016,4 @@ def _resultant(a, b):
     for i in range(da):
         for j, c in enumerate(reversed(b)):
             m[db + i][i + j] = c
-    return int_determinant(m)
+    return int_adjugate(m)[0]

@@ -7,8 +7,10 @@ for u = +-1 and t an integer multiple of 1.
 Every scan of a form, over Z or F_p, runs on one walk (_walk): the terms are
 compiled into per-coordinate transitions over plain coefficients, each line
 of the last coordinate becomes a univariate SparsePoly, and that line is
-evaluated once per point.  scan covers a full box, projective_scan one point
-per line through 0 of F_p^m, and search_monogenerators half of the Z box.
+evaluated once per point.  scan covers a full box.  projective_scan (one
+point per line through 0 of F_p^m) and search_monogenerators (half of the Z
+box) walk the same charts (_charts): the point 0, then the points whose
+first nonzero coordinate is the j-th, for j from last to first.
 """
 
 from __future__ import annotations
@@ -44,34 +46,30 @@ def projective_scan(poly: SparsePoly, p: int, cap: int):
     poly is over F_p or F_p[t] and m is the number of variables it uses; the
     others stay 0.  After the zero point come the points whose first nonzero
     used coordinate is 1, in lexicographic order; a homogeneous poly of
-    degree d takes the value c^d * poly(v) at c*v.  Chart j sets the used
-    coordinates before the j-th to 0 and the j-th to 1, and varies only the
-    coordinates that the resulting polynomial still uses; the others stay 0.
-    A chart is built when the scan reaches it, so a caller that stops early
-    pays for no later chart.  Raises BudgetExceeded when p^m exceeds cap, as
-    scan would.
+    degree d takes the value c^d * poly(v) at c*v.  A chart is built when
+    the scan reaches it, so a caller that stops early pays for no later
+    chart.  Raises BudgetExceeded when p^m exceeds cap, as scan would.
+    """
+    _check_budget(p, len(poly.variables_used()), cap)
+    yield from _charts(poly, range(1, 2), range(p))
+
+
+def _charts(poly: SparsePoly, leads, values):
+    """Yield (v, poly(v)) for 0 and each v whose first nonzero used coordinate is in leads.
+
+    Chart j sets the used coordinates before the j-th to 0, runs the j-th
+    over leads and the later ones over values; the coordinates poly does
+    not use stay 0.  The charts come from the last used coordinate to the
+    first, so with leads starting at 1 the points come in lexicographic
+    order.
     """
     used = poly.variables_used()
-    _check_budget(p, len(used), cap)
     base, arity = poly.base, poly.arity
-    yield from _walk(base, _constant(poly), [], [], [0] * arity)
-    for lead in reversed(used):
-        chart = {}
-        for e, c in poly.terms.items():
-            if not any(e[:lead]):
-                rest = e[lead + 1:]
-                chart[rest] = base.add(chart[rest], c) if rest in chart else c
-        chart = {e: c for e, c in chart.items() if not base.is_zero(c)}
-        live = [k for k, column in enumerate(zip(*chart)) if any(column)]
-        point = [0] * arity
-        point[lead] = 1
-        coords = [lead + 1 + k for k in live]
-        yield from _walk(base, _cut(chart.items(), live), coords, [range(p)] * len(live), point)
-
-
-def _constant(poly: SparsePoly) -> dict:
-    """The constant term of poly, as a term over no coordinates."""
-    return {(): poly.terms.get((0,) * poly.arity, poly.base.zero)}
+    yield from _walk(base, {(): poly.terms.get((0,) * arity, base.zero)}, [], [], [0] * arity)
+    for j in reversed(range(len(used))):
+        chart = _cut(((e, c) for e, c in poly.terms.items() if not any(e[:used[j]])), used[j:])
+        ranges = [leads] + [values] * (len(used) - j - 1)
+        yield from _walk(base, chart, used[j:], ranges, [0] * arity)
 
 
 def _cut(items, keep) -> dict:
@@ -191,9 +189,8 @@ def search_monogenerators(
     others stay 0.  The form is homogeneous of degree d, so F(-v) =
     (-1)^d * F(v): only the point 0 and the half of the box whose first
     nonzero coordinate is positive are evaluated, 1 + ((2h+1)^m - 1)/2
-    points, and each witness w found there also gives -w.  Chart j of that
-    half sets the coordinates before the j-th to 0 and the j-th to
-    1..height, and varies the rest over the box.  Witnesses are sorted,
+    points, and each witness w found there also gives -w.  Those points
+    are the charts of _charts with leads 1..height.  Witnesses are sorted,
     which is lexicographic order over the box.  Raises BudgetExceeded
     before the first evaluation when (2h+1)^m exceeds cap.
     """
@@ -203,17 +200,10 @@ def search_monogenerators(
     if form is None:
         form = index_form(alg)
     poly = form.form
-    used = poly.variables_used()
-    m = len(used)
     values = range(-height, height + 1)
     with stage(f"box search at height {height}"):
-        _check_budget(len(values), m, cap)
-    walks = [_walk(poly.base, _constant(poly), [], [], [0] * poly.arity)]
-    for j, lead in enumerate(used):
-        chart = _cut(((e, c) for e, c in poly.terms.items() if not any(e[:lead])), used[j:])
-        ranges = [range(1, height + 1)] + [values] * (m - j - 1)
-        walks.append(_walk(poly.base, chart, used[j:], ranges, [0] * poly.arity))
-    found = [v for walk in walks for v, value in walk if value in (1, -1)]
+        _check_budget(len(values), len(poly.variables_used()), cap)
+    found = [v for v, value in _charts(poly, range(1, height + 1), values) if value in (1, -1)]
     witnesses = sorted(found + [tuple(-c for c in w) for w in found if any(w)])
     ident = alg.identity_basis_index()
     classes = []

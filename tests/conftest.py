@@ -8,12 +8,11 @@ from sympy.polys.matrices import DomainMatrix
 from monogen.algebra import (
     OrderPresentation,
     StructureAlgebra,
-    _rational_inverse,
     power_basis_algebra,
     split_algebra,
 )
 from monogen.errors import LengthMismatch, NonUnimodular, NotIntegerBase
-from monogen.exactring import ZZ, fp_rref, int_determinant
+from monogen.exactring import ZZ, fp_rref, int_adjugate
 from monogen.fixtures import corpus_files, load_fixture
 
 
@@ -57,11 +56,11 @@ def change_basis(alg, U):
         raise LengthMismatch("U must be n x n")
     if base.kind not in ("Z", "Fp"):
         raise NotIntegerBase("change of basis implemented for Z and F_p bases")
-    det = int_determinant(U)
+    det, adj = int_adjugate(U)
     if base.kind == "Z":
         if det not in (1, -1):
             raise NonUnimodular(f"det(U) = {det} is not a unit")
-        Uinv = int_matrix_inverse_unimodular(U)
+        Uinv = [[det * x for x in row] for row in adj]
     else:
         if det % base.p == 0:
             raise NonUnimodular("det(U) = 0 mod p")
@@ -87,8 +86,9 @@ def _dot(base, v, w):
 
 
 def int_matrix_inverse_unimodular(U):
-    inv = _rational_inverse([[Fraction(x) for x in row] for row in U])
-    return [[int(x) for x in row] for row in inv]
+    det, adj = int_adjugate(U)
+    assert det in (1, -1)
+    return [[det * x for x in row] for row in adj]
 
 
 def fp_matrix_inverse(U, p):

@@ -1,5 +1,4 @@
 import json
-import random
 import time
 
 import pytest
@@ -15,7 +14,6 @@ from monogen.artin import (
     fiber_monogenic,
     local_factor_monogenic,
     nilradical,
-    solve_linear,
 )
 from monogen.localmono import is_monogenic_at_prime
 from conftest import (
@@ -33,34 +31,6 @@ PRIMES_TO_31 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 def fp_quotient(p, coeffs):
     """F_p[x]/(f) as a structure algebra (f given over Z, reduced)."""
     return power_basis_algebra(coeffs).reduce_mod_p(p)
-
-
-class TestSolveLinear:
-    def test_no_columns(self):
-        assert solve_linear([], [0, 0], 5) == []
-        assert solve_linear([], [0, 3], 5) is None
-
-    @pytest.mark.parametrize("p", [2, 3, 7])
-    def test_random_against_rank(self, p):
-        rng = random.Random(p)
-        for _ in range(80):
-            n, k = rng.randint(1, 5), rng.randint(0, 4)
-            columns = [[rng.randrange(p) for _ in range(n)] for _ in range(k)]
-            if k > 1 and rng.random() < 0.3:
-                columns[-1] = list(columns[0])  # rank-deficient
-            if rng.random() < 0.5:
-                c = [rng.randrange(p) for _ in range(k)]
-                target = [sum(ci * col[i] for ci, col in zip(c, columns)) % p for i in range(n)]
-            else:
-                target = [rng.randrange(p) for _ in range(n)]
-            rank = sympy_gf_matrix(columns, p, n).rank()
-            solvable = sympy_gf_matrix(columns + [target], p).rank() == rank
-            sol = solve_linear(columns, target, p)
-            if not solvable:
-                assert sol is None
-                continue
-            got = [sum(ci * col[i] for ci, col in zip(sol, columns)) % p for i in range(n)]
-            assert got == target
 
 
 class TestNilradical:

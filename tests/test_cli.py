@@ -12,6 +12,18 @@ from monogen.fixtures import corpus_dir, parse_input
 from monogen.errors import NotClosedUnderMultiplication, ParseError
 
 
+# the (input, prime) of each line of artin_golden.jsonl, paths from the
+# root of the checkout; the CI runtime job runs the same list
+ARTIN_GOLDEN_CASES = [
+    ("src/monogen/corpus/dedekind.json", 2),
+    ("src/monogen/corpus/split3.json", 2),
+    ("src/monogen/corpus/sqrt2_sqrt3.json", 2),
+    ("src/monogen/corpus/sqrt2_sqrt3.json", 3),
+    ("src/monogen/corpus/cbrt175.json", 5),
+    ("tests/trinomial6.json", 59),
+]
+
+
 def fixture_path(name):
     return str(corpus_dir() / f"{name}.json")
 
@@ -292,6 +304,26 @@ class TestCommands:
         assert code == 1 and out == ""
         assert "rank must be in 1..12, got 80" in err
 
+    @pytest.mark.parametrize("command", ["validate", "index-form", "classify"])
+    def test_boolean_rank_refused(self, capsys, tmp_path, command):
+        # JSON true equals 1 in Python, and must still not pass as a rank
+        doc = {"algebra": {"base": {"kind": "Z"}, "rank": True,
+                           "constants": [[[1]]], "identity": [1]}}
+        path = tmp_path / "bool_rank.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command, str(path), "--json")
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "InvalidAlgebra",
+                                   "message": "rank must be in 1..12, got True"}
+
+    def test_singular_order_basis_refused(self, capsys, tmp_path):
+        path = tmp_path / "singular.json"
+        path.write_text(json.dumps({"order": {"minpoly": [-2, 0, 1], "basis": [[1, 2], [2, 4]]}}))
+        code, out, err = run(capsys, "classify", str(path), "--json")
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "SingularBasisMatrix",
+                                   "message": "basis matrix is singular"}
+
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])
@@ -327,6 +359,17 @@ class TestDeterminism:
         )
         assert code == 0
         assert out == golden
+
+    def test_artin_matches_golden(self, capsys):
+        """Fibers with p below the number of factors, t = 2, nilpotency 3, and
+        residue degrees 1, 2 and 3; the idempotents are part of the output."""
+        here = Path(__file__).parent
+        golden = (here / "artin_golden.jsonl").read_text(encoding="utf-8").splitlines(True)
+        assert len(golden) == len(ARTIN_GOLDEN_CASES)
+        for (path, p), want in zip(ARTIN_GOLDEN_CASES, golden):
+            code, out, _ = run(capsys, "artin", str(here.parent / path), "--prime", str(p), "--json")
+            assert code == 0
+            assert out == want, (path, p)
 
     def test_classify_byte_identical(self, capsys):
         _, out1, _ = run(capsys, "classify", fixture_path("sqrt2_sqrt3"), "--json")

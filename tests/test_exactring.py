@@ -6,6 +6,7 @@ from math import prod
 
 import pytest
 import sympy
+from sympy.polys.matrices import DomainMatrix
 from sympy.utilities.exceptions import SymPyDeprecationWarning
 from hypothesis import example, given, settings, strategies as st
 
@@ -39,7 +40,7 @@ from monogen.exactring import (
     factor_int,
     fp_kernel,
     fp_rref,
-    int_determinant,
+    int_adjugate,
     is_prime,
     necklace_count,
 )
@@ -136,7 +137,7 @@ class TestDeterminant:
             for _ in range(3):
                 pt = [rng.randint(-4, 4) for _ in range(2)]
                 at = [[f.evaluate(pt) for f in row] for row in m]
-                assert det.evaluate(pt) == int_determinant(at)
+                assert det.evaluate(pt) == int_adjugate(at)[0]
 
     def test_bareiss_matches_cofactor_mod_p(self):
         rng = random.Random(13)
@@ -147,7 +148,7 @@ class TestDeterminant:
             det = determinant(m)
             for x in range(5):
                 at = [[f.evaluate([x]) for f in row] for row in m]
-                assert det.evaluate([x]) == int_determinant(at) % 5
+                assert det.evaluate([x]) == int_adjugate(at)[0] % 5
 
     def test_bareiss_vandermonde_5(self):
         det = determinant(vandermonde(5))
@@ -155,7 +156,7 @@ class TestDeterminant:
         assert det in (prod, -prod)
         pt = [2, -1, 3, 0, 5]
         at = [[f.evaluate(pt) for f in row] for row in vandermonde(5)]
-        assert det.evaluate(pt) == int_determinant(at)
+        assert det.evaluate(pt) == int_adjugate(at)[0]
 
     def test_bareiss_matches_cofactor_zx(self):
         rng = random.Random(19)
@@ -166,7 +167,7 @@ class TestDeterminant:
             for _ in range(3):
                 pt, t0 = [rng.randint(-3, 3) for _ in range(2)], rng.randint(-3, 3)
                 at = [[_at_t(f.evaluate(pt), t0) for f in row] for row in m]
-                assert _at_t(det.evaluate(pt), t0) == int_determinant(at)
+                assert _at_t(det.evaluate(pt), t0) == int_adjugate(at)[0]
 
     @pytest.mark.parametrize("base", [ZZ, Fp(5), ZX], ids=["Z", "F5", "ZX"])
     def test_against_sympy(self, base):
@@ -193,7 +194,7 @@ class TestDeterminant:
         for _ in range(5):
             pt = [rng.randint(-5, 5) for _ in range(6)]
             at = [[f.evaluate(pt) for f in row] for row in m]
-            assert det.evaluate(pt) == int_determinant(at)
+            assert det.evaluate(pt) == int_adjugate(at)[0]
 
 
 @st.composite
@@ -236,7 +237,7 @@ class TestPackedDeterminant:
             pt = [rng.randint(-3, 3) for _ in range(det.arity)]
             t0 = rng.randint(-3, 3)
             at = [[_value(f.evaluate(pt), base, t0) for f in row] for row in m]
-            want = int_determinant(at)
+            want = int_adjugate(at)[0]
             got = _value(det.evaluate(pt), base, t0)
             if base.p is None:
                 assert got == want
@@ -369,6 +370,63 @@ class TestFpLinearAlgebra:
                 assert all(sum(a * b for a, b in zip(row, vec)) % p == 0 for row in m)
             if ker:
                 assert sympy_gf_matrix(ker, p).rank() == len(ker)
+
+    @pytest.mark.parametrize("p", [2, 3, 7])
+    def test_first_kernel_vector_is_the_first_dependency(self, p):
+        # for the columns e, b, b^2, ... of powers this is the monic minimal polynomial
+        rng = random.Random(200 + p)
+        for _ in range(80):
+            m = random_fp_matrix(rng, p)
+            ker = fp_kernel(m, p)
+            if not ker:
+                continue
+            *lower, lead = _tup_trim(ker[0])
+            f = len(lower)
+            assert lead == 1
+            assert sympy_gf_matrix([row[:f] for row in m], p, f).rank() == f
+            assert sympy_gf_matrix([row[: f + 1] for row in m], p).rank() == f
+
+
+@st.composite
+def int_matrices(draw):
+    """Square integer matrix of size 1..7, entries up to +-2^40, with small
+    entries mixed in, and sometimes a zero row or a repeated row."""
+    n = draw(st.integers(1, 7))
+    entry = st.one_of(st.integers(-2, 2), st.integers(-(1 << 40), 1 << 40))
+    m = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    i = draw(st.integers(0, n - 1))
+    singular = draw(st.sampled_from([None, "zero row", "repeated row"]))
+    if singular == "zero row":
+        m[i] = [0] * n
+    elif singular == "repeated row" and n > 1:
+        m[i] = list(m[i - 1])
+    return m
+
+
+class TestIntAdjugate:
+    @settings(max_examples=300, deadline=None)
+    @given(int_matrices())
+    @example([[0, 1], [1, 0]])
+    @example([[0, 0, 1], [0, 2, 0], [3, 0, 0]])
+    def test_against_sympy(self, m):
+        n = len(m)
+        det, adj = int_adjugate(m)
+        K = sympy.ZZ
+        assert det == DomainMatrix([[K(x) for x in row] for row in m], (n, n), K).det()
+        if det == 0:
+            assert adj is None
+            return
+        scalar = [[det * (i == j) for j in range(n)] for i in range(n)]
+        assert _int_matmul(adj, m) == scalar and _int_matmul(m, adj) == scalar
+
+    def test_non_square_raises(self):
+        for m in ([], [[1, 2]], [[1, 2], [3]]):
+            with pytest.raises(NonSquare):
+                int_adjugate(m)
+
+
+def _int_matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 class TestContentPrimes:
@@ -623,8 +681,15 @@ class TestEvaluate:
 
 class TestFactorInt:
     def test_small_values_against_sympy(self):
-        for n in range(-30, 3000):
+        for n in range(-30, 2 * 10**5 + 1):
             assert factor_int(n) == (sympy.factorint(abs(n)) if abs(n) > 1 else {})
+
+    def test_products_of_primes_above_trial_division(self):
+        # primes about the trial-division bound 1000 and far above it
+        for primes in ([1009, 1013], [1009, 1009], [997, 1009], [10**6 + 3, 10**6 + 33],
+                       [1009, 10**9 + 7], [2, 997, 10**6 + 3]):
+            n = prod(primes)
+            assert factor_int(n) == sympy.factorint(n), primes
 
     def test_random_prime_products_against_sympy(self):
         # Products of primes up to 10^12.  Pollard-Brent needs about the
