@@ -45,11 +45,11 @@ class StructureAlgebra:
 
     The constructor raises ValidationError, listing every violated axiom,
     unless the table is commutative and associative with the given 1.
-    Algebras that are rings by construction (orders and their reductions
-    mod p) come from ``_derived`` instead, without the check.
+    Algebras that are rings by construction skip the check: orders come
+    from ``_derived``, and reductions mod p from ``reduce_mod_p``.
     """
 
-    __slots__ = ("base", "rank", "constants", "identity", "label", "_table")
+    __slots__ = ("base", "rank", "_constants", "identity", "label", "_table", "_units")
 
     def __init__(self, base: BaseRing, rank: int, constants, identity, label: str = ""):
         self._fill(base, rank, constants, identity, label)
@@ -61,8 +61,8 @@ class StructureAlgebra:
     def _derived(cls, base, rank, constants, identity, label):
         """An algebra known to be a ring, built without the axiom check.
 
-        Reduction mod p keeps the axioms, which are integer identities in
-        the constants, and an order is a subring of Q[x]/(f).
+        An order is a subring of Q[x]/(f); reductions mod p come from
+        reduce_mod_p.
         """
         alg = cls.__new__(cls)
         alg._fill(base, rank, constants, identity, label)
@@ -73,44 +73,58 @@ class StructureAlgebra:
             raise InvalidAlgebra(f"rank must be in 1..{RANK_CAP}, got {rank!r}")
         self.base = base
         self.rank = rank
-        self.constants = tuple(
+        self._constants = constants = tuple(
             tuple(tuple(base.coerce(c) for c in row) for row in plane)
             for plane in constants
         )
-        if len(self.constants) != rank or any(
+        if len(constants) != rank or any(
             len(plane) != rank or any(len(row) != rank for row in plane)
-            for plane in self.constants
+            for plane in constants
         ):
             raise InvalidAlgebra("structure constants must form an n x n x n array")
         self.identity = tuple(base.coerce(u) for u in identity)
         if len(self.identity) != rank:
             raise InvalidAlgebra("identity coordinates must have length n")
         self.label = label
+        zeros, one = (base.zero,) * rank, (base.one,)
+        self._units = tuple(zeros[:i] + one + zeros[i + 1:] for i in range(rank))
         # over Z and F_p, vec_mul sums plain ints over the nonzero (k, c[i][j][k]) of each (i, j)
         self._table = None if base.is_polynomial else tuple(
             tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in plane)
-            for plane in self.constants
+            for plane in constants
         )
+
+    @property
+    def constants(self):
+        """c[i][j][k]; a reduction mod p writes them out from its table when first read."""
+        if self._constants is None:
+            n = self.rank
+            rows = [[0] * n for _ in range(n * n)]
+            for row, entries in zip(rows, (e for plane in self._table for e in plane)):
+                for k, c in entries:
+                    row[k] = c
+            self._constants = tuple(tuple(map(tuple, rows[i:i + n])) for i in range(0, n * n, n))
+        return self._constants
 
     # -- coordinate arithmetic
 
     def vec_mul(self, v, w):
         """Product of two coordinate vectors through the structure constants."""
-        base = self.base
-        n = self.rank
+        base, n, table = self.base, self.rank, self._table
         if len(v) != n or len(w) != n:
             raise LengthMismatch("coordinate vectors must have length n")
-        if self._table is not None:
+        if table is not None:
             acc = [0] * n
             nonzero_w = [(j, b) for j, b in enumerate(w) if b]
-            for a, plane in zip(v, self._table):
+            for a, plane in zip(v, table):
                 if a:
                     for j, b in nonzero_w:
                         ab = a * b
                         for k, c in plane[j]:
                             acc[k] += ab * c
-            return tuple(acc) if base.p is None else tuple(x % base.p for x in acc)
-        out = [base.zero] * n
+            p = base.p
+            return tuple(acc) if p is None else tuple([x % p for x in acc])
+        out, constants = [base.zero] * n, self.constants
         for i in range(n):
             if base.is_zero(v[i]):
                 continue
@@ -119,25 +133,42 @@ class StructureAlgebra:
                     continue
                 c = base.mul(v[i], w[j])
                 for k in range(n):
-                    t = self.constants[i][j][k]
+                    t = constants[i][j][k]
                     if not base.is_zero(t):
                         out[k] = base.add(out[k], base.mul(c, t))
         return tuple(out)
 
+    def mult_rows(self, v):
+        """The products v*e_j for j = 0..n-1, the matrix of multiplication by v, in one pass."""
+        table = self._table
+        if table is None:
+            return [self.vec_mul(v, u) for u in self._units]
+        n, p = self.rank, self.base.p
+        rows = [[0] * n for _ in range(n)]
+        for a, plane in zip(v, table):
+            if a:
+                for row, entries in zip(rows, plane):
+                    for k, c in entries:
+                        row[k] += a * c
+        return [tuple(row) if p is None else tuple([x % p for x in row]) for row in rows]
+
     def basis_vector(self, i):
-        return tuple(
-            self.base.one if j == i else self.base.zero for j in range(self.rank)
-        )
+        return self._units[i]
 
     def element_power(self, v, k: int):
-        """v^k by square-and-multiply."""
-        out = self.identity
-        while k:
-            if k & 1:
+        """v^k for k >= 0, left to right: square, then multiply by v itself.
+
+        Every multiplication is by v, never by a power of it, so for a basis
+        vector e_i it reads a single plane of the table, as the first
+        squaring does; at p <= 7, e_i^p squares a dense vector at most once.
+        """
+        if not k:
+            return self.identity
+        out = v
+        for bit in bin(k)[3:]:
+            out = self.vec_mul(out, out)
+            if bit == "1":
                 out = self.vec_mul(out, v)
-            k >>= 1
-            if k:
-                v = self.vec_mul(v, v)
         return out
 
     # -- validation
@@ -168,12 +199,30 @@ class StructureAlgebra:
     # -- transformations
 
     def reduce_mod_p(self, p: int) -> "StructureAlgebra":
+        """The algebra over F_p whose constants and 1 are this one's mod p.
+
+        Reduction keeps the ring axioms, which are integer identities in the
+        constants, so the coordinates of 1 and the nonzero entries of the
+        integer table are reduced entry by entry, with no coercion and no
+        axiom check; the constants are written out only when read.
+        """
         if self.base.kind != "Z":
             raise NotIntegerBase("reduction mod p needs base Z")
         if not is_prime(p):
             raise MonogenError(f"{p} is not prime")
-        label = f"{self.label} mod {p}"
-        return self._derived(Fp(p), self.rank, self.constants, self.identity, label)
+        red = StructureAlgebra.__new__(StructureAlgebra)
+        red.base, red.rank, red.label = Fp(p), self.rank, f"{self.label} mod {p}"
+        red.identity = tuple([u % p for u in self.identity])
+        red._units = self._units  # 0 and 1 in Z are 0 and 1 in F_p
+        red._constants = None
+        # c[i][j] = c[j][i], so each row is reduced once, for i <= j
+        n = self.rank
+        table = [[None] * n for _ in range(n)]
+        for i, sparse in enumerate(self._table):
+            for j in range(i, n):
+                table[i][j] = table[j][i] = tuple([(k, r) for k, c in sparse[j] if (r := c % p)])
+        red._table = tuple(map(tuple, table))
+        return red
 
     def discriminant(self) -> int:
         """det of the trace-pairing Gram matrix Tr(e_i e_j); base Z only.

@@ -8,16 +8,20 @@ first kernel vector of its powers, and its roots, the eigenvalues that
 separate the factors, come from Berlekamp's root splitting, so the cost
 does not grow with p.  Each factor's residue degree, tangent dimension
 and nilpotency index are read off the ranks of one chain of powers of its
-maximal ideal.  Serves as an oracle independent of brute-force
+maximal ideal.  No product is taken by 1 outside the final check, and no
+split is tried on an element that acts on its piece as a scalar, so a
+local fiber (idempotent 1) multiplies only for the Frobenius columns and
+its nilradical chain.  Serves as an oracle independent of brute-force
 index-form enumeration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import InvalidAlgebra, SplitFailure
-from .exactring import berlekamp_factor, fp_kernel, fp_rref, necklace_count
+from .exactring import _tup_trim, berlekamp_factor, fp_kernel, fp_rref, necklace_count
 from .algebra import StructureAlgebra
 
 
@@ -66,8 +70,15 @@ class ArtinDecomposition:
 
 
 def _frobenius(alg: StructureAlgebra):
-    """Columns of the Frobenius matrix Phi: the images x^p of the basis vectors."""
-    return [alg.element_power(alg.basis_vector(i), alg.base.p) for i in range(alg.rank)]
+    """Columns of the Frobenius matrix Phi: the images x^p of the basis vectors.
+
+    Each e_i^p is raised left to right (StructureAlgebra.element_power), so
+    every product but the squarings reads one plane of the table; a basis
+    vector that is 1 is its own image and takes no product.
+    """
+    p = alg.base.p
+    return [u if u == alg.identity else alg.element_power(u, p)
+            for u in map(alg.basis_vector, range(alg.rank))]
 
 
 def nilradical(alg: StructureAlgebra, frob=None):
@@ -83,9 +94,9 @@ def nilradical(alg: StructureAlgebra, frob=None):
     p, n = alg.base.p, alg.rank
     images = frob = frob or _frobenius(alg)
     q = p
+    phi_rows = list(zip(*frob))
     while q < n:
-        images = [tuple(sum(c * col[k] for c, col in zip(v, frob)) % p for k in range(n))
-                  for v in images]
+        images = [tuple([sum(map(mul, v, row)) % p for row in phi_rows]) for v in images]
         q *= p
     rows, _ = fp_rref(fp_kernel(list(zip(*images)), p), p)
     return rows
@@ -103,7 +114,10 @@ def _primitive_idempotents(alg, frob):
     subalgebra), so its dimension r is the number of local factors.
     """
     p, n = alg.base.p, alg.rank
-    fixed = fp_kernel([[(frob[j][i] - (i == j)) % p for j in range(n)] for i in range(n)], p)
+    phi_minus_1 = [list(row) for row in zip(*frob)]
+    for i, row in enumerate(phi_minus_1):
+        row[i] -= 1
+    fixed = fp_kernel(phi_minus_1, p)
     r = len(fixed)
     idempotents = [alg.identity]
     for b in fixed:
@@ -117,28 +131,39 @@ def _split(alg, e, b, k):
     """Projectors of e*A onto the eigenspaces of b*e.
 
     b is a combination of primitive idempotents, so b*e = sum c_i e_i over
-    the primitive idempotents e_i of e*A, with c_i in F_p.  Its minimal
-    polynomial has distinct roots, no more than the factors or than p, and
-    k = min(r, p) bounds both, so e, b*e, ..., (b*e)^k are dependent.  The
-    first vector of their F_p kernel is the monic minimal polynomial; its
-    roots come from Berlekamp's root splitting, and the Lagrange
-    polynomial at each root, evaluated at b*e, is the projector onto that
-    root's eigenspace.
+    the primitive idempotents e_i of e*A, with c_i in F_p (b*e is b itself
+    when e is 1).  When b*e lies in F_p*e there is one eigenvalue, and e is
+    returned as it is, with no power, kernel or root taken.  Otherwise
+    the minimal polynomial g of b*e has distinct roots, no more than the
+    factors or than p, and k = min(r, p) bounds both, so e, b*e, ...,
+    (b*e)^k are dependent.  The first vector of their F_p kernel is g; its
+    roots come from Berlekamp's root splitting.  The projector onto the
+    eigenspace of a root c is the Lagrange polynomial g(x)/((x - c) g'(c))
+    at b*e, a combination of the powers already formed.
     """
     p = alg.base.p
-    be = alg.vec_mul(b, e)
+    be = b if e == alg.identity else alg.vec_mul(b, e)
+    for x, y in zip(e, be):
+        if x:
+            break
+    scalar = y * pow(x, p - 2, p)
+    if tuple([scalar * x % p for x in e]) == be:
+        return [e]
     powers = [e, be]
     while len(powers) <= k:
         powers.append(alg.vec_mul(powers[-1], be))
-    roots = berlekamp_factor(fp_kernel(list(zip(*powers)), p)[0], p)
+    rows = list(zip(*powers))
+    g = _tup_trim(fp_kernel(rows, p)[0])
     projectors = []
-    for c in roots:
-        proj = e
-        for d in roots:
-            if d != c:
-                inv = pow(c - d, p - 2, p)
-                proj = alg.vec_mul(proj, tuple((x - d * y) * inv % p for x, y in zip(be, e)))
-        projectors.append(proj)
+    for c in berlekamp_factor(g, p):
+        # q = g/(x - c) by synthetic division, high to low; q(c) = g'(c)
+        q, acc, value = [], 0, 0
+        for x in reversed(g[1:]):
+            acc = (acc * c + x) % p
+            q.append(acc)
+            value = (value * c + acc) % p
+        scale = pow(value, p - 2, p)
+        projectors.append(tuple([sum(map(mul, reversed(q), row)) * scale % p for row in rows]))
     return projectors
 
 
@@ -147,6 +172,8 @@ def decompose(alg: StructureAlgebra) -> ArtinDecomposition:
 
     Deterministic: primitive idempotents are unique, and the factors are
     sorted by (dimension, residue degree, tangent dimension, idempotent).
+    A local fiber's only idempotent is 1, whose factor is the whole
+    algebra, with maximal ideal the nilradical: it takes no product.
     """
     if alg.base.kind != "Fp":
         raise InvalidAlgebra("decomposition needs base F_p")
@@ -155,20 +182,28 @@ def decompose(alg: StructureAlgebra) -> ArtinDecomposition:
     nil_rows = nilradical(alg, frob)
     results = []
     for e in _primitive_idempotents(alg, frob):
-        fac_vectors = [alg.vec_mul(e, alg.basis_vector(j)) for j in range(n)]
-        dim = len(fp_rref(fac_vectors, p)[0])
-        # the chain m, m^2, ..., 0 of powers of the maximal ideal m = e * N
-        chain = [fp_rref([alg.vec_mul(e, v) for v in nil_rows], p)[0]]
+        if e == alg.identity:
+            dim, m = n, nil_rows
+        else:
+            # e*e_j is row j of L_e, and e*v the combination sum v_j e*e_j
+            products = alg.mult_rows(e)
+            dim = len(fp_rref(products, p)[0])
+            m = nil_rows and fp_rref([[sum(map(mul, v, col)) for col in zip(*products)]
+                                      for v in nil_rows], p)[0]
+        # the chain m, m^2, ..., 0 of powers of the maximal ideal m = e * N;
+        # products commute, so m^2 takes the pairs a <= b
+        chain = [m]
         while chain[-1]:
-            chain.append(fp_rref([alg.vec_mul(a, b) for a in chain[-1] for b in chain[0]], p)[0])
+            prev = chain[-1]
+            chain.append(fp_rref([alg.vec_mul(a, b) for i, a in enumerate(prev)
+                                  for b in (m[i:] if prev is m else m)], p)[0])
         ranks = [len(power) for power in chain] + [0]
         f = dim - ranks[0]
         tangent = (ranks[0] - ranks[1]) // f
         results.append((LocalFactor(dim, f, tangent, len(chain)), e))
 
     results.sort(key=lambda fe: (fe[0].dimension, fe[0].residue_degree, fe[0].tangent_dim, fe[1]))
-    factors = tuple(f for f, _ in results)
-    idempotents = tuple(e for _, e in results)
+    factors, idempotents = zip(*results)
     _check_decomposition(alg, factors, idempotents)
     return ArtinDecomposition(p, factors, idempotents)
 

@@ -221,27 +221,61 @@ def _tup_divmod(a, f, p=None):
         if c:
             for j in range(n):
                 rem[k + j] -= c * f[j]
-    return _tup_trim(q), _tup_trim(rem[:n] if p is None else (v % p for v in rem[:n]))
+    return _tup_trim(q), _tup_trim(rem[:n] if p is None else [v % p for v in rem[:n]])
 
 
 def _tup_gcd(a, b, p):
-    """The monic gcd over F_p of a monic a and any b."""
+    """The monic gcd over F_p of a monic a and any b, on lists, remainders in place."""
+    a, b = list(a), list(_tup_trim(b))
     while b:
-        inv = pow(b[-1], -1, p)
-        b = tuple(c * inv % p for c in b)
-        a, b = b, _tup_divmod(a, b, p)[1]
-    return a
+        if b[-1] != 1:
+            inv = pow(b[-1], -1, p)
+            b = [c * inv % p for c in b]
+        n = len(b) - 1
+        low = b[:n]
+        for top in range(len(a) - 1, n - 1, -1):
+            c = a.pop() % p
+            if c:
+                for j, t in enumerate(low, top - n):
+                    a[j] -= c * t
+        a = [x % p for x in a]
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
+    return tuple(a)
 
 
 def _tup_powmod(a, k, f, p):
-    """a^k mod a monic f over F_p, by repeated squaring."""
-    out, a = (1,), _tup_divmod(a, f, p)[1]
-    while k:
-        if k & 1:
-            out = _tup_divmod(_tup_mul(out, a, p), f, p)[1]
-        a = _tup_divmod(_tup_mul(a, a, p), f, p)[1]
-        k >>= 1
-    return out
+    """a^k mod a monic f over F_p, k >= 1, left to right: square, then multiply by a.
+
+    Each product is reduced mod f as a list, top coefficient first, with
+    one reduction mod p per coefficient; only the result is trimmed.
+    """
+    n = len(f) - 1
+    low = f[:n]
+
+    def reduce(prod):
+        for top in range(len(prod) - 1, n - 1, -1):
+            c = prod.pop() % p
+            if c:
+                for j, t in enumerate(low, top - n):
+                    prod[j] -= c * t
+        return [x % p for x in prod]
+
+    def mulmod(u, v):
+        prod = [0] * (len(u) + len(v) - 1)
+        for i, x in enumerate(u):
+            if x:
+                for j, y in enumerate(v, i):
+                    prod[j] += x * y
+        return reduce(prod)
+
+    a = out = reduce(list(a))
+    for bit in bin(k)[3:]:
+        out = mulmod(out, out)
+        if bit == "1":
+            out = mulmod(out, a)
+    return _tup_trim(out)
 
 
 # ---------------------------------------------------------------------------
@@ -845,8 +879,11 @@ def int_adjugate(m):
     the pivot.  After pivot k every entry is d_k times its value in rational
     Gauss-Jordan elimination, d_k the leading (k+1)-minor of the row-swapped
     m, so each division by the previous pivot is exact and the pivot row
-    stays as it is.  At the end [m | I] is [d*I | d*m^-1], d = +-det m.
-    adj is None exactly when det m == 0.
+    stays as it is.  Columns 0..k would then hold d_k on the diagonal and 0
+    elsewhere; no step reads them again, so each step computes only the
+    columns right of its pivot, and a row with 0 in the pivot column is
+    only rescaled by d_k / d_(k-1).  At the end the right half is d*m^-1,
+    d = +-det m.  adj is None exactly when det m == 0.
     """
     n = _check_square(m)
     a = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(m)]
@@ -858,11 +895,15 @@ def int_adjugate(m):
         if piv != k:
             a[k], a[piv] = a[piv], a[k]
             sign = -sign
-        pivot_row, d = a[k], a[k][k]
+        d, tail = a[k][k], a[k][k + 1:]
         for i, row in enumerate(a):
-            if i != k:
-                c = row[k]
-                a[i] = [(d * x - c * y) // prev for x, y in zip(row, pivot_row)]
+            if i == k:
+                continue
+            c = row[k]
+            if c:
+                row[k + 1:] = [(d * x - c * y) // prev for x, y in zip(row[k + 1:], tail)]
+            else:
+                row[k + 1:] = [d * x // prev if x else 0 for x in row[k + 1:]]
         prev = d
     return sign * prev, [[sign * x for x in row[n:]] for row in a]
 
@@ -872,22 +913,33 @@ def int_adjugate(m):
 
 
 def fp_rref(rows, p):
-    """Reduced row echelon form over F_p: (nonzero rows as tuples, pivot columns)."""
-    m = [list(r) for r in rows]
+    """Reduced row echelon form over F_p: (nonzero rows as tuples, pivot columns).
+
+    Entries are reduced into [0, p) once, on the way in, and the
+    elimination stops as soon as every row holds a pivot.
+    """
+    m = [[v % p for v in row] for row in rows]
+    nrows, ncols = len(m), len(m[0]) if m else 0
     pivots = []
     r = 0
-    ncols = len(m[0]) if m else 0
     for col in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][col] % p), None)
-        if piv is None:
+        if r == nrows:
+            break
+        for piv in range(r, nrows):
+            if m[piv][col]:
+                break
+        else:
             continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][col], p - 2, p)
-        m[r] = [v * inv % p for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col] % p:
-                c = m[i][col]
-                m[i] = [(a - c * b) % p for a, b in zip(m[i], m[r])]
+        row = m[piv]
+        m[piv] = m[r]
+        if row[col] != 1:
+            inv = pow(row[col], p - 2, p)
+            row = [v * inv % p for v in row]
+        m[r] = row
+        for i in range(nrows):
+            c = m[i][col]
+            if c and i != r:
+                m[i] = [(a - c * b) % p for a, b in zip(m[i], row)]
         pivots.append(col)
         r += 1
     return [tuple(row) for row in m[:r]], pivots
@@ -898,7 +950,7 @@ def fp_kernel(rows, p):
     ncols = len(rows[0]) if rows else 0
     reduced, pivots = fp_rref(rows, p)
     basis = []
-    for free in sorted(set(range(ncols)) - set(pivots)):
+    for free in (c for c in range(ncols) if c not in pivots):
         v = [0] * ncols
         v[free] = 1
         for row, col in zip(reduced, pivots):
@@ -951,17 +1003,18 @@ def berlekamp_factor(f, p: int):
         )
     e = max((p - 1) // 2, 1)
     pieces, a = [f], 0
-    while any(len(g) > 2 for g in pieces):
+    while max(map(len, pieces)) > 2:
         if a == p:
             raise SplitFailure(f"roots of {FpX(p).format_elem(f, 'x')} did not part at any a < {p}")
         split = []
         for g in pieces:
             h = g
             if len(g) > 2:  # linear pieces are done
-                h = _tup_gcd(g, _tup_add(_tup_powmod((a, 1), e, g, p), (-1,), p), p)
+                r = _tup_powmod((a, 1), e, g, p)  # (x + a)^e, less 1 below
+                h = _tup_gcd(g, ((r[0] - 1) % p, *r[1:]) if r else (p - 1,), p)
             split += [h, _tup_divmod(g, h, p)[0]] if 1 < len(h) < len(g) else [g]
         pieces, a = split, a + 1
-    return sorted(-g[0] % p for g in pieces if len(g) == 2)
+    return sorted([-g[0] % p for g in pieces if len(g) == 2])
 
 
 # ---------------------------------------------------------------------------

@@ -248,6 +248,48 @@ class TestReduceModP:
         assert calls == ["Z[i]"]
 
 
+@st.composite
+def integer_tables(draw):
+    """A Z-algebra with negative constants: Z + m*Z[theta] or Z^n, sometimes rebased."""
+    n = draw(st.integers(2, 5))
+    if draw(st.booleans()):
+        f = draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n)) + [1]
+        m = draw(st.sampled_from([1, 2, 3, 7]))
+        basis = [[m if i == j > 0 else int(i == j) for j in range(n)] for i in range(n)]
+        alg = OrderPresentation(f, basis).to_algebra()
+    else:
+        alg = split_algebra(n)
+    if draw(st.booleans()):
+        alg = change_basis(alg, random_unimodular(draw(st.randoms(use_true_random=False)), n))
+    return alg
+
+
+class TestReduceModPProperty:
+    @settings(max_examples=120, deadline=None)
+    @given(integer_tables(), st.sampled_from([2, 3, 7, 2**31 - 1]), st.data())
+    def test_reduction_is_coefficientwise(self, alg, p, data):
+        red, n = alg.reduce_mod_p(p), alg.rank
+        assert red.constants == tuple(
+            tuple(tuple(c % p for c in row) for row in plane) for plane in alg.constants
+        )
+        assert red.identity == tuple(u % p for u in alg.identity)
+        vectors = st.lists(st.integers(-50, 50), min_size=n, max_size=n)
+        for _ in range(3):
+            v, w = data.draw(vectors), data.draw(vectors)
+            want = tuple(x % p for x in alg.vec_mul(v, w))
+            assert red.vec_mul(tuple(x % p for x in v), tuple(x % p for x in w)) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(integer_tables(), st.sampled_from([2, 3, 7, 2**31 - 1]))
+    def test_element_power_of_basis_vectors(self, alg, p):
+        for a in (alg, alg.reduce_mod_p(p)):
+            for i in range(a.rank):
+                e, power = a.basis_vector(i), a.identity
+                for k in range(41):
+                    assert a.element_power(e, k) == power, (i, k)
+                    power = a.vec_mul(power, e)
+
+
 class TestChangeBasis:
     def test_identity_matrix_is_noop(self):
         alg = gaussian_order()

@@ -1,3 +1,4 @@
+import itertools
 import json
 import time
 
@@ -225,6 +226,52 @@ class TestFrobeniusSplitting:
         assert time.perf_counter() - start < 1
         assert factor_data(dec) == [(1, 1, 0, 1), (2, 1, 1, 2)]
         assert fiber_monogenic(dec)
+
+
+@st.composite
+def small_order_fibers(draw):
+    """(Z-algebra, p) for Z + m*Z[theta] of rank 2-4 in a random basis, m in {1, 2, 3, p}.
+
+    With p in {2, 3, 5}, p^n <= 625, so the fiber can be enumerated.
+    """
+    n = draw(st.integers(2, 4))
+    p = draw(st.sampled_from((2, 3, 5)))
+    f = draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n)) + [1]
+    m = draw(st.sampled_from((1, 2, 3, p)))
+    basis = [[m if i == j > 0 else int(i == j) for j in range(n)] for i in range(n)]
+    alg = OrderPresentation(f, basis).to_algebra(f"Z + {m}*Z[theta]")
+    return rebased(draw, alg), p
+
+
+def enumerated_primitive_idempotents(alg, p):
+    """The minimal nonzero idempotents of alg mod p, by a walk over all of F_p^n.
+
+    Products are taken from the Z constants reduced here, not by the algebra
+    mod p.
+    """
+    n, c = alg.rank, alg.constants
+
+    def mul(v, w):
+        return tuple(sum(v[i] * w[j] * c[i][j][k] for i in range(n) for j in range(n)) % p
+                     for k in range(n))
+
+    idempotents = [v for v in itertools.product(range(p), repeat=n) if any(v) and mul(v, v) == v]
+    # e is minimal when no other nonzero idempotent d has d*e = d
+    return sorted(e for e in idempotents
+                  if not any(d != e and mul(d, e) == d for d in idempotents)), mul
+
+
+class TestIdempotentOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(small_order_fibers())
+    def test_idempotents_match_enumeration(self, case):
+        alg, p = case
+        dec = decompose(alg.reduce_mod_p(p))
+        want, mul = enumerated_primitive_idempotents(alg, p)
+        assert sorted(dec.idempotents) == want
+        for factor, e in zip(dec.factors, dec.idempotents):
+            rows = [mul(e, alg.basis_vector(j)) for j in range(alg.rank)]
+            assert factor.dimension == sympy_gf_matrix(rows, p).rank()
 
 
 class TestMonogenicityCriteria:

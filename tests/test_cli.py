@@ -22,6 +22,19 @@ ARTIN_GOLDEN_CASES = [
     ("src/monogen/corpus/cbrt175.json", 5),
     ("tests/trinomial6.json", 59),
 ]
+# every Z fixture of the corpus and the rank-6 trinomial at p <= 7 (the trinomial
+# has two-factor fibers of residue degrees (1, 5) and (2, 4)), and x^3 - x^2 + 2
+# at 2: two factors, one of them not reduced
+ARTIN_GOLDEN_CASES += [
+    case for case in [
+        *((f"src/monogen/corpus/{name}.json", p)
+          for name in ("cbrt175", "dedekind", "gaussian_integers", "split2", "split3",
+                       "sqrt2", "sqrt2_sqrt3", "sqrt5_maximal")
+          for p in (2, 3, 5, 7)),
+        *(("tests/trinomial6.json", p) for p in (2, 3, 5, 7)),
+        ("tests/cubic_x3_x2_2.json", 2),
+    ] if case not in ARTIN_GOLDEN_CASES
+]
 
 
 def fixture_path(name):
