@@ -7,7 +7,8 @@ over F_p (fp_rref, with fp_kernel on top), roots over F_p by Berlekamp's
 splitting (cost polynomial in log p, not a walk over F_p), necklace
 counts, and integer-polynomial discriminants.  Univariate polynomials are
 dense tuples, constant term first, and the _tup_* helpers are their only
-arithmetic: over Z, or over F_p when given p.
+arithmetic: over Z, or over F_p when given p; one loop, _tup_rem, reduces
+mod a monic f for division, gcds and powers.
 
 Element encodings per base ring:
   Z    -> python int
@@ -18,7 +19,7 @@ Element encodings per base ring:
 
 from __future__ import annotations
 
-from itertools import chain, combinations, count
+from itertools import chain, combinations, count, zip_longest
 from math import gcd
 
 from .errors import (
@@ -180,21 +181,8 @@ def _tup_trim(c):
 
 
 def _tup_add(a, b, p=None):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, v in enumerate(a):
-        out[i] += v
-    for i, v in enumerate(b):
-        out[i] += v
-    if p is not None:
-        out = [v % p for v in out]
-    return _tup_trim(out)
-
-
-def _tup_neg(a, p=None):
-    if p is None:
-        return tuple(-v for v in a)
-    return tuple((-v) % p for v in a)
+    out = [x + y for x, y in zip_longest(a, b, fillvalue=0)]
+    return _tup_trim(out if p is None else [v % p for v in out])
 
 
 def _tup_mul(a, b, p=None):
@@ -211,17 +199,29 @@ def _tup_mul(a, b, p=None):
     return _tup_trim(out)
 
 
+def _tup_rem(a, low, p=None):
+    """Reduce the list a in place mod the monic f = x^n + low, over F_p when p is given.
+
+    The loop pops the top coefficient, reduces it mod p once and subtracts
+    its multiple of f.  The popped coefficients, top first, are returned:
+    the quotient.  The remainder stays in a, neither reduced mod p nor trimmed.
+    """
+    n = len(low)
+    q = []
+    for top in range(len(a) - 1, n - 1, -1):
+        c = a.pop() if p is None else a.pop() % p
+        q.append(c)
+        if c:
+            for j, t in enumerate(low, top - n):
+                a[j] -= c * t
+    return q
+
+
 def _tup_divmod(a, f, p=None):
     """(q, r) with a = q*f + r and deg r < deg f, for a monic f; over F_p when p is given."""
-    n = len(f) - 1
-    rem = list(a)
-    q = [0] * max(len(rem) - n, 0)
-    for k in reversed(range(len(q))):
-        c = q[k] = rem[k + n] if p is None else rem[k + n] % p
-        if c:
-            for j in range(n):
-                rem[k + j] -= c * f[j]
-    return _tup_trim(q), _tup_trim(rem[:n] if p is None else [v % p for v in rem[:n]])
+    r = list(a)
+    q = _tup_rem(r, f[:-1], p)
+    return _tup_trim(reversed(q)), _tup_trim(r if p is None else [x % p for x in r])
 
 
 def _tup_gcd(a, b, p):
@@ -231,13 +231,7 @@ def _tup_gcd(a, b, p):
         if b[-1] != 1:
             inv = pow(b[-1], -1, p)
             b = [c * inv % p for c in b]
-        n = len(b) - 1
-        low = b[:n]
-        for top in range(len(a) - 1, n - 1, -1):
-            c = a.pop() % p
-            if c:
-                for j, t in enumerate(low, top - n):
-                    a[j] -= c * t
+        _tup_rem(a, b[:-1], p)
         a = [x % p for x in a]
         while a and not a[-1]:
             a.pop()
@@ -248,19 +242,10 @@ def _tup_gcd(a, b, p):
 def _tup_powmod(a, k, f, p):
     """a^k mod a monic f over F_p, k >= 1, left to right: square, then multiply by a.
 
-    Each product is reduced mod f as a list, top coefficient first, with
-    one reduction mod p per coefficient; only the result is trimmed.
+    Each product is reduced mod f by _tup_rem, with one reduction mod p per
+    coefficient; only the result is trimmed.
     """
-    n = len(f) - 1
-    low = f[:n]
-
-    def reduce(prod):
-        for top in range(len(prod) - 1, n - 1, -1):
-            c = prod.pop() % p
-            if c:
-                for j, t in enumerate(low, top - n):
-                    prod[j] -= c * t
-        return [x % p for x in prod]
+    low = f[:-1]
 
     def mulmod(u, v):
         prod = [0] * (len(u) + len(v) - 1)
@@ -268,9 +253,12 @@ def _tup_powmod(a, k, f, p):
             if x:
                 for j, y in enumerate(v, i):
                     prod[j] += x * y
-        return reduce(prod)
+        _tup_rem(prod, low, p)
+        return [x % p for x in prod]
 
-    a = out = reduce(list(a))
+    a = list(a)
+    _tup_rem(a, low, p)
+    out = a = [x % p for x in a]
     for bit in bin(k)[3:]:
         out = mulmod(out, out)
         if bit == "1":
@@ -297,6 +285,7 @@ class BaseRing:
             p = None
         self.kind = kind
         self.p = p
+        self.is_polynomial = kind in ("ZX", "FpX")
 
     # -- identity / hashing
 
@@ -309,30 +298,16 @@ class BaseRing:
     def __repr__(self):
         return f"BaseRing({self.kind}{'' if self.p is None else f', p={self.p}'})"
 
-    @property
-    def is_polynomial(self) -> bool:
-        return self.kind in ("ZX", "FpX")
-
     # -- element construction
 
     def coerce(self, v):
         """Accept ints, or coefficient lists/tuples for polynomial kinds; never bools."""
-        if self.kind == "Z":
-            if type(v) is int:
-                return v
-        elif self.kind == "Fp":
-            if type(v) is int:
-                return v % self.p
-        elif self.kind == "ZX":
-            if type(v) is int:
-                return _tup_trim((v,))
-            if isinstance(v, (list, tuple)) and all(type(c) is int for c in v):
-                return _tup_trim(v)
-        elif self.kind == "FpX":
-            if type(v) is int:
-                return _tup_trim((v % self.p,))
-            if isinstance(v, (list, tuple)) and all(type(c) is int for c in v):
-                return _tup_trim(c % self.p for c in v)
+        p = self.p
+        if type(v) is int:
+            v = v if p is None else v % p
+            return _tup_trim((v,)) if self.is_polynomial else v
+        if self.is_polynomial and isinstance(v, (list, tuple)) and all(type(c) is int for c in v):
+            return _tup_trim(v if p is None else (c % p for c in v))
         raise MonogenError(f"cannot coerce {v!r} into {self!r}")
 
     @property
@@ -343,64 +318,48 @@ class BaseRing:
     def one(self):
         return self.coerce(1)
 
-    # -- arithmetic
+    # -- arithmetic: p is None over Z and Z[t]; polynomials are dense tuples
 
     def add(self, a, b):
-        if self.kind == "Z":
-            return a + b
-        if self.kind == "Fp":
-            return (a + b) % self.p
-        return _tup_add(a, b, self.p)
+        if self.is_polynomial:
+            return _tup_add(a, b, self.p)
+        return a + b if self.p is None else (a + b) % self.p
 
     def neg(self, a):
-        if self.kind == "Z":
-            return -a
-        if self.kind == "Fp":
-            return (-a) % self.p
-        return _tup_neg(a, self.p)
+        p = self.p
+        if self.is_polynomial:
+            return tuple(-c for c in a) if p is None else tuple(-c % p for c in a)
+        return -a if p is None else -a % p
 
     def mul(self, a, b):
-        if self.kind == "Z":
-            return a * b
-        if self.kind == "Fp":
-            return a * b % self.p
-        return _tup_mul(a, b, self.p)
+        if self.is_polynomial:
+            return _tup_mul(a, b, self.p)
+        return a * b if self.p is None else a * b % self.p
 
     def is_zero(self, a) -> bool:
-        if self.kind in ("Z", "Fp"):
-            return a == 0
-        return a == ()
+        return not a
 
     def is_unit(self, a) -> bool:
-        if self.kind == "Z":
-            return a in (1, -1)
-        if self.kind == "Fp":
-            return a % self.p != 0
-        if self.kind == "ZX":
-            return a in ((1,), (-1,))
-        return len(a) == 1 and a[0] % self.p != 0
+        if self.is_polynomial:
+            if len(a) != 1:
+                return False
+            a = a[0]
+        return a in (1, -1) if self.p is None else a % self.p != 0
 
     def is_negative(self, a) -> bool:
         """Canonical-sign convention: Z/ZX by leading sign, F_p by upper half."""
-        if self.is_zero(a):
+        if not a:
             return False
-        if self.kind == "Z":
-            return a < 0
-        if self.kind == "Fp":
-            return a > self.p // 2
-        if self.kind == "ZX":
-            return a[-1] < 0
-        return a[-1] > self.p // 2
+        lead = a[-1] if self.is_polynomial else a
+        return lead < 0 if self.p is None else lead > self.p // 2
 
     # -- serialization
 
     def elem_to_json(self, a):
-        if self.kind in ("Z", "Fp"):
-            return a
-        return list(a)
+        return list(a) if self.is_polynomial else a
 
     def format_elem(self, a, var: str = "t") -> str:
-        if self.kind in ("Z", "Fp"):
+        if not self.is_polynomial:
             return str(a)
         if not a:
             return "0"
@@ -614,16 +573,13 @@ class SparsePoly:
 
     def reduce_mod_p(self, p: int) -> "SparsePoly":
         """Map Z -> F_p or Z[t] -> F_p[t] coefficientwise."""
-        if self.base.kind == "Z":
-            tgt = Fp(p)
-            terms = {e: r for e, c in self.terms.items() if (r := c % p)}
-            return SparsePoly._derived(tgt, self.arity, terms)
-        if self.base.kind == "ZX":
+        if self.base.p is not None:
+            raise BaseRingMismatch("reduction mod p needs an integral base")
+        if self.base.is_polynomial:
             tgt = FpX(p)
-            return SparsePoly(
-                tgt, self.arity, {e: tgt.coerce(c) for e, c in self.terms.items()}
-            )
-        raise BaseRingMismatch("reduction mod p needs an integral base")
+            return SparsePoly(tgt, self.arity, {e: tgt.coerce(c) for e, c in self.terms.items()})
+        terms = {e: r for e, c in self.terms.items() if (r := c % p)}
+        return SparsePoly._derived(Fp(p), self.arity, terms)
 
     def canonical_sign(self) -> "SparsePoly":
         """Negate if the graded-lex leading coefficient is negative."""
@@ -634,14 +590,11 @@ class SparsePoly:
 
     def integer_coefficients(self):
         """Flat list of all integer coefficients (Z and ZX bases)."""
-        if self.base.kind == "Z":
-            return list(self.terms.values())
-        if self.base.kind == "ZX":
-            out = []
-            for c in self.terms.values():
-                out.extend(c)
-            return out
-        raise BaseRingMismatch("integer coefficients need base Z or Z[t]")
+        if self.base.p is not None:
+            raise BaseRingMismatch("integer coefficients need base Z or Z[t]")
+        if self.base.is_polynomial:
+            return [x for c in self.terms.values() for x in c]
+        return list(self.terms.values())
 
     # -- serialization
 
@@ -660,7 +613,7 @@ class SparsePoly:
                 for i, e in enumerate(exps)
                 if e > 0
             )
-            neg = base.is_negative(c) and base.kind in ("Z", "ZX")
+            neg = base.is_negative(c) and base.p is None
             cc = base.neg(c) if neg else c
             cs = base.format_elem(cc)
             if base.is_polynomial and len(cc) > 1 and mono:
@@ -704,33 +657,6 @@ def _int_mul_into(acc, f, g):
         for e1, c1 in f.items():
             e = e1 + e2
             acc[e] = get(e, 0) + c1 * c2
-
-
-def packed_arithmetic(base: BaseRing):
-    """(mul_into, normalize) for polynomials over base in packed form.
-
-    ``mul_into(acc, f, g)`` adds f*g into the dict acc in place, and
-    ``normalize(acc)`` drops zero terms.  Over Z and F_p the coefficients
-    are plain ints, and F_p values are reduced once, in normalize.
-    """
-    mul_into = _int_mul_into
-    if base.is_polynomial:
-        add, mul = base.add, base.mul
-
-        def mul_into(acc, f, g):
-            for e2, c2 in g.items():
-                for e1, c1 in f.items():
-                    e = e1 + e2
-                    acc[e] = add(acc[e], mul(c1, c2)) if e in acc else mul(c1, c2)
-
-    p = base.p if base.kind == "Fp" else None
-
-    def normalize(acc):
-        if p is None:
-            return {e: c for e, c in acc.items() if c}
-        return {e: r for e, c in acc.items() if (r := c % p)}
-
-    return mul_into, normalize
 
 
 def determinant(m):

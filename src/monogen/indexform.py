@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidAlgebra, LengthMismatch
-from .exactring import SparsePoly, determinant, packed_arithmetic
+from .exactring import SparsePoly, _int_mul_into, determinant
 from .algebra import StructureAlgebra
 
 
@@ -26,34 +26,47 @@ def matrix_of_coefficients(alg: StructureAlgebra):
 
     The powers are built on exponent vectors packed into one int, width
     bits per variable, so a product of monomials is the sum of their keys.
+    Over Z[t] and F_p[t] the exponent of t is packed above the n x-fields,
+    so every coefficient is a plain int and one product loop serves all
+    four bases; regrouped gathers the powers of t back into coefficient
+    tuples at the end.  Over F_p and F_p[t] each row is reduced mod p once.
     Multiplication by theta sends a_i e_i to a_i * sum_j c_ijk x_j in
     coordinate k, so each nonzero linear form sum_j c_ijk x_j is packed once.
     """
-    base, n = alg.base, alg.rank
+    base, n, p = alg.base, alg.rank, alg.base.p
     pinned = alg.identity_basis_index()
     width = max((n - 1).bit_length(), 1)
+    t_shift = width * n
     times_theta = []
     for plane in alg.constants:
         forms = []
         for k in range(n):
-            form = {
-                1 << (width * j): c[k]
-                for j, c in enumerate(plane)
-                if j != pinned and not base.is_zero(c[k])
-            }
+            if base.is_polynomial:  # t^d goes to key + (d << t_shift)
+                form = {
+                    (1 << (width * j)) + (d << t_shift): x
+                    for j, c in enumerate(plane) if j != pinned
+                    for d, x in enumerate(c[k]) if x
+                }
+            else:
+                form = {1 << (width * j): c[k] for j, c in enumerate(plane) if j != pinned and c[k]}
             if form:
                 forms.append((k, form))
         times_theta.append(forms)
-    mul_into, normalize = packed_arithmetic(base)
-    row = [{0: u} if not base.is_zero(u) else {} for u in alg.identity]
+    if base.is_polynomial:
+        row = [{d << t_shift: x for d, x in enumerate(u) if x} for u in alg.identity]
+    else:
+        row = [{0: u} if u else {} for u in alg.identity]
     rows = [row]
     for _ in range(n - 1):
         nxt = [{} for _ in range(n)]
         for a, forms in zip(row, times_theta):
             if a:
                 for k, form in forms:
-                    mul_into(nxt[k], a, form)
-        row = [normalize(acc) for acc in nxt]
+                    _int_mul_into(nxt[k], a, form)
+        if p is None:
+            row = [{e: c for e, c in acc.items() if c} for acc in nxt]
+        else:
+            row = [{e: r for e, c in acc.items() if (r := c % p)} for acc in nxt]
         rows.append(row)
     mask = (1 << width) - 1
     shifts = [width * j for j in range(n)]
@@ -68,7 +81,21 @@ def matrix_of_coefficients(alg: StructureAlgebra):
             out[exps] = c
         return SparsePoly._derived(base, n, out)
 
-    return [[unpacked(f) for f in r] for r in rows]
+    def regrouped(terms):
+        """unpacked, with the powers of t gathered into coefficient tuples."""
+        out = {}
+        for key, c in terms.items():
+            exps = exps_of.get(key)
+            if exps is None:
+                exps = exps_of[key] = tuple(key >> s & mask for s in shifts)
+            d = key >> t_shift
+            old = out.get(exps, ())
+            old += (0,) * (d + 1 - len(old))
+            out[exps] = old[:d] + (c,) + old[d + 1:]
+        return SparsePoly._derived(base, n, out)
+
+    unpack = regrouped if base.is_polynomial else unpacked
+    return [[unpack(f) for f in r] for r in rows]
 
 
 @dataclass(frozen=True)

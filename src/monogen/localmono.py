@@ -229,7 +229,7 @@ def classify(
             )
         crosscheck.append({"p": p, "brute": brute, "artin": fiber})
 
-    notes = []
+    notes, obstructions = [], []
     status, witness, reason = "Unknown", None, None
     if result.witnesses:
         witness = result.witnesses[0]
@@ -239,7 +239,8 @@ def classify(
         reason = f"common index divisor {cids[0]}"
     else:
         notes.append(f"height {height} exhausted without a witness")
-        for p in local_obstruction_primes(form, cap=cap):
+        obstructions = local_obstruction_primes(form, cap=cap)
+        for p in obstructions:
             notes.append(f"local obstruction: values mod {p} never units")
 
     report = MonogenicityReport(
@@ -258,7 +259,7 @@ def classify(
         notes=notes,
     )
     _assert_implications(report)
-    base_Z_twisted_note(report)
+    base_Z_twisted_note(report, obstructions)
     return report
 
 

@@ -66,8 +66,8 @@ def steinitz_exponent(n: int) -> int:
     return n * (n - 1) // 2
 
 
-def base_Z_twisted_note(report) -> None:
-    """Annotate a base-Z report: twisted monogenic over Z equals monogenic."""
+def base_Z_twisted_note(report, obstructions) -> None:
+    """Annotate a base-Z report with its local obstruction primes: over Z twisted = monogenic."""
     exp = steinitz_exponent(max(report.rank, 1))
     report.notes.append(
         f"steinitz class constraint: any twisted monogenerator forces an "
@@ -77,12 +77,10 @@ def base_Z_twisted_note(report) -> None:
         report.notes.append("twisted = global over Z (h(Z)=1); monogenic")
     elif report.global_status == "NotMonogenic":
         report.notes.append("not twisted monogenic (h(Z)=1)")
+    elif obstructions:
+        report.notes.append(
+            "not twisted monogenic (h(Z)=1) assuming the local obstruction "
+            "rules out global monogenerators"
+        )
     else:
-        obstructed = any("local obstruction" in n for n in report.notes)
-        if obstructed:
-            report.notes.append(
-                "not twisted monogenic (h(Z)=1) assuming the local obstruction "
-                "rules out global monogenerators"
-            )
-        else:
-            report.notes.append("twisted status unknown (twisted = global over Z)")
+        report.notes.append("twisted status unknown (twisted = global over Z)")

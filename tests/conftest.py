@@ -148,6 +148,20 @@ def random_algebra(rng, max_rank=4, keep_identity_first=True):
     return alg
 
 
+def power_basis_algebra_over(base, f, label=""):
+    """base[x]/(f) in the basis 1, x, ..., x^(n-1), for f monic in x with
+    coefficients in base (ints or coefficient lists), constant term first."""
+    f = [base.coerce(c) for c in f]
+    n = len(f) - 1
+    # x^0, ..., x^(2n-2) in the basis; x^(i+1) = x * x^i, less lead * f
+    powers = [[base.one if k == i else base.zero for k in range(n)] for i in range(n)]
+    for _ in range(n - 1):
+        lead, shifted = powers[-1][-1], [base.zero, *powers[-1][:-1]]
+        powers.append([base.add(c, base.neg(base.mul(lead, fk))) for c, fk in zip(shifted, f)])
+    constants = [[powers[i + j] for j in range(n)] for i in range(n)]
+    return StructureAlgebra(base, n, constants, powers[0], label)
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240817)

@@ -12,28 +12,14 @@ from monogen.fixtures import corpus_dir, parse_input
 from monogen.errors import NotClosedUnderMultiplication, ParseError
 
 
-# the (input, prime) of each line of artin_golden.jsonl, paths from the
-# root of the checkout; the CI runtime job runs the same list
+# the (input, prime) of each line of artin_golden.jsonl, one "path:prime" a line,
+# paths from the root of the checkout; the CI runtime job reads the same file.
+# They are every Z fixture of the corpus and the rank-6 trinomial at p <= 7 (the
+# trinomial has two-factor fibers of residue degrees (1, 5) and (2, 4)), a few
+# larger primes, and x^3 - x^2 + 2 at 2: two factors, one of them not reduced
+_CASES_TEXT = (Path(__file__).parent / "artin_golden_cases.txt").read_text(encoding="utf-8")
 ARTIN_GOLDEN_CASES = [
-    ("src/monogen/corpus/dedekind.json", 2),
-    ("src/monogen/corpus/split3.json", 2),
-    ("src/monogen/corpus/sqrt2_sqrt3.json", 2),
-    ("src/monogen/corpus/sqrt2_sqrt3.json", 3),
-    ("src/monogen/corpus/cbrt175.json", 5),
-    ("tests/trinomial6.json", 59),
-]
-# every Z fixture of the corpus and the rank-6 trinomial at p <= 7 (the trinomial
-# has two-factor fibers of residue degrees (1, 5) and (2, 4)), and x^3 - x^2 + 2
-# at 2: two factors, one of them not reduced
-ARTIN_GOLDEN_CASES += [
-    case for case in [
-        *((f"src/monogen/corpus/{name}.json", p)
-          for name in ("cbrt175", "dedekind", "gaussian_integers", "split2", "split3",
-                       "sqrt2", "sqrt2_sqrt3", "sqrt5_maximal")
-          for p in (2, 3, 5, 7)),
-        *(("tests/trinomial6.json", p) for p in (2, 3, 5, 7)),
-        ("tests/cubic_x3_x2_2.json", 2),
-    ] if case not in ARTIN_GOLDEN_CASES
+    (path, int(p)) for path, _, p in (line.rpartition(":") for line in _CASES_TEXT.splitlines())
 ]
 
 

@@ -6,6 +6,8 @@ from math import prod
 
 import pytest
 import sympy
+from sympy.polys.domains import ZZ as SZZ
+from sympy.polys.galoistools import gf_from_int_poly, gf_gcd, gf_mul, gf_pow_mod
 from sympy.polys.matrices import DomainMatrix
 from sympy.utilities.exceptions import SymPyDeprecationWarning
 from hypothesis import example, given, settings, strategies as st
@@ -23,6 +25,7 @@ from monogen.errors import (
     ZeroPolynomial,
 )
 from monogen.exactring import (
+    BaseRing,
     Fp,
     FpX,
     SparsePoly,
@@ -30,7 +33,9 @@ from monogen.exactring import (
     ZZ,
     _tup_add,
     _tup_divmod,
+    _tup_gcd,
     _tup_mul,
+    _tup_powmod,
     _tup_trim,
     berlekamp_factor,
     content_primes,
@@ -592,6 +597,185 @@ class TestTupDivmod:
         assert len(r) < len(f)
         assert _tup_add(_tup_mul(q, f, p), r, p) == _tup_trim(a)
         assert (q, r) == _sympy_divmod(a, f, p)
+
+
+TUP_PRIMES = [2, 3, 31, 2**31 - 1]
+
+
+def _gf(c, p):
+    """A tuple, constant first, as a sympy GF(p) dense list, top first."""
+    return gf_from_int_poly(list(reversed(c)), p)
+
+
+def _from_gf(g):
+    return tuple(reversed(g))
+
+
+@st.composite
+def monic_mod_p(draw, p, min_degree=0, max_degree=6):
+    """A monic polynomial over F_p, coefficients in [0, p), constant first."""
+    n = draw(st.integers(min_degree, max_degree))
+    return tuple(draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))) + (1,)
+
+
+class TestTupPowmod:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.sampled_from(TUP_PRIMES))
+    def test_matches_sympy_pow_mod(self, data, p):
+        # a is any integer tuple, reduced mod p and mod f on the way in
+        f = data.draw(monic_mod_p(p, min_degree=1), label="f")
+        a = data.draw(st.lists(st.integers(-(10**12), 10**12), max_size=9), label="a")
+        k = data.draw(st.one_of(st.integers(1, 70), st.sampled_from([p, (p - 1) // 2 or 1])))
+        got = _tup_powmod(tuple(a), k, f, p)
+        assert got == _from_gf(gf_pow_mod(_gf(a, p), k, _gf(f, p), p, SZZ))
+        assert len(got) < len(f) and all(0 <= c < p for c in got)
+
+
+class TestTupGcd:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.sampled_from(TUP_PRIMES))
+    def test_matches_sympy_gcd(self, data, p):
+        # a = d*a1 is monic and reduced; b = d*b1 times a scalar is neither monic
+        # nor reduced: p times random integers is added to its coefficients
+        d = data.draw(monic_mod_p(p, max_degree=3), label="d")
+        a1 = data.draw(monic_mod_p(p, max_degree=4), label="a1")
+        b1 = data.draw(monic_mod_p(p, max_degree=4), label="b1")
+        scale = data.draw(st.integers(1, p - 1), label="scale")
+        a = _from_gf(gf_mul(_gf(d, p), _gf(a1, p), p, SZZ))
+        b = [scale * c for c in _from_gf(gf_mul(_gf(d, p), _gf(b1, p), p, SZZ))]
+        lift = data.draw(st.lists(st.integers(-5, 5), min_size=len(b), max_size=len(b)))
+        b = tuple(c + p * m for c, m in zip(b, lift))
+        got = _tup_gcd(a, b, p)
+        want = _from_gf(gf_gcd(_gf(a, p), _gf(b, p), p, SZZ))
+        assert tuple(c % p for c in got) == want
+        assert _tup_divmod(a, want, p)[1] == ()
+
+    @pytest.mark.parametrize("p", TUP_PRIMES)
+    def test_zero_b_gives_a(self, p):
+        a = (1 % p, 2 % p, 1)
+        assert _tup_gcd(a, (0, 0), p) == a
+
+
+BASES = [ZZ, Fp(5), ZX, FpX(5)]
+BASE_IDS = ["Z", "F5", "ZX", "F5X"]
+T = 2**64  # a Z[t] element with coefficients below 2^63 is determined by its value at T
+
+
+def _int_value(base, a):
+    """Z and F_p elements as ints; Z[t] and F_p[t] elements at t = T."""
+    return sum(c * T**i for i, c in enumerate(a)) if base.is_polynomial else a
+
+
+def _lift(base):
+    """The integral base that base is a reduction of."""
+    return ZX if base.is_polynomial else ZZ
+
+
+def _elements(base):
+    coeff = st.integers(-(10**9), 10**9)
+    raw = st.lists(coeff, max_size=5) if base.is_polynomial else coeff
+    return raw.map(base.coerce)
+
+
+class TestBaseRing:
+    @pytest.mark.parametrize("base", BASES, ids=BASE_IDS)
+    def test_coerce_ints_and_lists(self, base):
+        want = {ZZ: -7, Fp(5): 3, ZX: (-7,), FpX(5): (3,)}[base]
+        assert base.coerce(-7) == want
+        zero, one = ((), (1,)) if base.is_polynomial else (0, 1)
+        assert base.coerce(0) == base.zero == zero and base.one == one
+        if base.is_polynomial:
+            reduced = (1, -12, 0, 7) if base.p is None else (1, 3, 0, 2)
+            assert base.coerce([1, -12, 0, 7, 0, 0]) == reduced
+            assert base.coerce((1, -12, 0, 7)) == reduced
+            assert base.coerce([]) == base.coerce([0, 0]) == base.coerce([5 * (base.p or 0)]) == ()
+        else:
+            with pytest.raises(MonogenError, match="cannot coerce"):
+                base.coerce([1, 2])
+
+    @pytest.mark.parametrize("base", BASES, ids=BASE_IDS)
+    @pytest.mark.parametrize("bad", [True, False, 1.0, 2.5, "1", None, [1, True], (1.0,), [[1]]])
+    def test_coerce_rejects_bools_and_floats(self, base, bad):
+        with pytest.raises(MonogenError, match="cannot coerce"):
+            base.coerce(bad)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.sampled_from(BASES))
+    def test_arithmetic_against_integer_reference(self, data, base):
+        # over Z and Z[t] (at t = T) the ring maps to the integers; F_p and
+        # F_p[t] agree with the same operation over Z or Z[t], reduced mod p
+        a, b = data.draw(_elements(base)), data.draw(_elements(base))
+        got = {"add": base.add(a, b), "neg": base.neg(a), "mul": base.mul(a, b)}
+        if base.p is None:
+            x, y = _int_value(base, a), _int_value(base, b)
+            want = {"add": x + y, "neg": -x, "mul": x * y}
+            assert {op: _int_value(base, r) for op, r in got.items()} == want
+        else:
+            lift = _lift(base)
+            want = {"add": lift.add(a, b), "neg": lift.neg(a), "mul": lift.mul(a, b)}
+            assert got == {op: base.coerce(r) for op, r in want.items()}
+        for r in got.values():
+            assert base.coerce(r) == r  # results are normalized
+        assert base.is_zero(base.add(a, base.neg(a)))
+        assert base.mul(a, base.one) == a and base.add(a, base.zero) == a
+        assert base.is_zero(base.mul(a, base.zero))
+
+    @pytest.mark.parametrize(
+        "base, units, others",
+        [
+            (ZZ, [1, -1], [0, 2, -2, 5]),
+            (Fp(5), [1, 2, 3, 4], [0]),
+            (ZX, [(1,), (-1,)], [(), (2,), (0, 1), (1, 1), (-1, 0, 1)]),
+            (FpX(5), [(1,), (2,), (4,)], [(), (0, 1), (1, 1), (3, 0, 2)]),
+        ],
+        ids=BASE_IDS,
+    )
+    def test_is_unit(self, base, units, others):
+        assert all(base.is_unit(u) for u in units)
+        assert not any(base.is_unit(x) for x in others)
+
+    @pytest.mark.parametrize(
+        "base, negative, positive",
+        [
+            (ZZ, [-1, -7], [0, 1, 7]),
+            (Fp(5), [3, 4], [0, 1, 2]),
+            (ZX, [(-1,), (5, -2), (0, 0, -1)], [(), (1,), (-5, 2), (-3, 0, 1)]),
+            (FpX(5), [(3,), (0, 4), (1, 1, 3)], [(), (2,), (4, 2), (3, 3, 1)]),
+        ],
+        ids=BASE_IDS,
+    )
+    def test_is_negative_by_leading_coefficient(self, base, negative, positive):
+        assert all(base.is_negative(x) for x in negative)
+        assert not any(base.is_negative(x) for x in positive)
+
+    @pytest.mark.parametrize(
+        "base, elem, json, text",
+        [
+            (ZZ, -7, -7, "-7"),
+            (ZZ, 0, 0, "0"),
+            (Fp(5), 3, 3, "3"),
+            (ZX, (), [], "0"),
+            (ZX, (1, -2), [1, -2], "-2*t + 1"),
+            (ZX, (0, 1, -1), [0, 1, -1], "-t^2 + t"),
+            (ZX, (-3, 0, 1), [-3, 0, 1], "t^2 - 3"),
+            (ZX, (-1, 3, 0, 1), [-1, 3, 0, 1], "t^3 + 3*t - 1"),
+            (FpX(5), (4, 0, 1), [4, 0, 1], "t^2 + 4"),
+            (FpX(5), (0, 2), [0, 2], "2*t"),
+        ],
+    )
+    def test_json_and_text(self, base, elem, json, text):
+        assert base.elem_to_json(elem) == json
+        assert base.format_elem(elem) == text
+        if base.is_polynomial and elem:
+            assert base.format_elem(elem, "x") == text.replace("t", "x")
+
+    def test_identity_and_serialization(self):
+        for base in BASES:
+            assert BaseRing.from_json(base.to_json()) == base
+            assert hash(BaseRing(base.kind, base.p)) == hash(base)
+        assert ZZ != Fp(5) and FpX(5) != FpX(7) and ZX != FpX(5)
+        assert ZZ.to_json() == {"kind": "Z"} and FpX(5).to_json() == {"kind": "FpX", "p": 5}
+        assert repr(FpX(5)) == "BaseRing(FpX, p=5)" and repr(ZX) == "BaseRing(ZX)"
 
 
 class TestNecklaceCount:

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from monogen.errors import LengthMismatch
 from monogen.algebra import OrderPresentation, power_basis_algebra, split_algebra
 from monogen.exactring import (
+    FpX,
     SparsePoly,
     ZX,
     ZZ,
@@ -23,6 +24,7 @@ from conftest import (
     dedekind_order,
     gaussian_order,
     mult_matrix,
+    power_basis_algebra_over,
     random_algebra,
     random_unimodular,
 )
@@ -174,6 +176,38 @@ class TestPinnedIdentity:
             got.append(form.evaluate(pt))
             want.append(int_adjugate([alg.element_power(pt, i) for i in range(7)])[0])
         assert any(want) and got in (want, [-w for w in want])
+
+
+@st.composite
+def polynomial_power_bases(draw):
+    """Z[t][x]/(f) or F_p[t][x]/(f), f monic in x of degree 2..4 with
+    coefficients of t-degree below 3."""
+    base = draw(st.sampled_from([ZX, FpX(2), FpX(3), FpX(7)]))
+    n = draw(st.integers(2, 4))
+    coefficient = st.lists(st.integers(-3, 3), max_size=3)
+    f = draw(st.lists(coefficient, min_size=n, max_size=n)) + [1]
+    return power_basis_algebra_over(base, f, f"power basis over {base!r}")
+
+
+class TestPolynomialBase:
+    """The power matrix over Z[t] and F_p[t], against the full generic element."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(polynomial_power_bases())
+    def test_matrix_is_full_power_matrix_without_the_coordinate_of_1(self, alg):
+        assert alg.identity_basis_index() == 0
+        m = matrix_of_coefficients(alg)
+        full = full_power_matrix(alg)
+        for row, full_row in zip(m, full):
+            for f, g in zip(row, full_row):
+                assert f.base == alg.base
+                assert f.terms == {e: c for e, c in g.terms.items() if not e[0]}
+
+    @settings(max_examples=25, deadline=None)
+    @given(polynomial_power_bases())
+    def test_pinned_form_equals_full_determinant(self, alg):
+        full = determinant(full_power_matrix(alg)).canonical_sign()
+        assert index_form(alg).form == full
 
 
 class TestEvaluate:
