@@ -19,7 +19,7 @@ Element encodings per base ring:
 
 from __future__ import annotations
 
-from itertools import chain, combinations, count, zip_longest
+from itertools import chain, count, zip_longest
 from math import gcd
 
 from .errors import (
@@ -226,7 +226,7 @@ def _tup_divmod(a, f, p=None):
 
 def _tup_gcd(a, b, p):
     """The monic gcd over F_p of a monic a and any b, on lists, remainders in place."""
-    a, b = list(a), list(_tup_trim(b))
+    a, b = list(a), list(_tup_trim([c % p for c in b]))
     while b:
         if b[-1] != 1:
             inv = pow(b[-1], -1, p)
@@ -669,25 +669,25 @@ def determinant(m):
 
     *Dehomogenize.*  If every row is homogeneous, of degree d_i say (which
     is checked), every term of the determinant has degree sum(d_i).  Then
-    one variable is left out of the entries, and its exponent is restored
-    from that degree at the end.
+    the last variable the entries use is left out of them, and its exponent
+    is restored from that degree at the end.
 
-    *Block.*  A second variable, t itself over Z[t] and F_p[t], is carried
-    inside the integers.  An entry's terms are grouped by the exponents of
-    the remaining key variables, packed into one int so that a product of
-    monomials is the sum of their keys.  Each group becomes the integer
-    sum of c_e * 2^(B*e), e the exponent of the block variable, and a
-    product of two groups is one product of integers: y -> 2^B is a ring
-    homomorphism Z[y] -> Z.  The two variables are the pair that leaves
-    the entries the fewest keys.
+    *Block.*  One more variable is carried inside the integers: t itself
+    over Z[t] and F_p[t], else the last variable the entries still use.
+    An entry's terms are grouped by the exponents of the remaining
+    variables, packed into one int so that a product of monomials is the
+    sum of their keys.  Each group becomes the integer sum of
+    c_e * 2^(B*e), e the exponent of the block variable, and a product of
+    two groups is one product of integers: y -> 2^B is a ring
+    homomorphism Z[y] -> Z.
 
-    *Decode.*  The final minor is read off in balanced base-2^B digits,
-    which returns each coefficient c of the determinant as long as
-    |c| < 2^(B-1).  A coefficient of the determinant is a signed sum of
-    products of one coefficient from each row, so |c| is at most the
-    product over rows of the row's L1 norm (the sum of the absolute values
-    of all its coefficients).  B is one more than the bit length of that
-    product.  F_p and F_p[t] are computed on their representatives in Z
+    *Decode.*  The final minor is read off in balanced base-2^B digits
+    until what is left of it is 0, which returns each coefficient c of the
+    determinant as long as |c| < 2^(B-1).  A coefficient of the
+    determinant is a signed sum of products of one coefficient from each
+    row, so |c| is at most the product over rows of the row's L1 norm (the
+    sum of the absolute values of all its coefficients).  B is one more
+    than the bit length of that product.  F_p and F_p[t] are computed on their representatives in Z
     and reduced once, after decoding.
     """
     n = _check_square(m)
@@ -720,24 +720,10 @@ def determinant(m):
             for e in terms:
                 if e not in packed:
                     packed[e] = sum(x << s for x, s in zip(e, shifts))
-    entries = [[packed[e] for e in terms] for row in rows for terms in row]
-    used = [i for i in range(arity) if top[i]]
-
-    def keys(carried):
-        kept = sum(field << shifts[i] for i in used if i not in carried)
-        return sum(len({k & kept for k in ks}) for ks in entries)
-
-    drop, blocks = None not in degrees, not base.is_polynomial
-    carried = list(min(combinations(used, min(drop + blocks, len(used))), key=keys))
-    dropped = carried.pop() if drop and carried else None
-    block = carried.pop() if blocks and carried else None
-    kept = [i for i in used if i not in (dropped, block)]
+    kept = [i for i in range(arity) if top[i]]  # the variables the entries use
+    dropped = kept.pop() if None not in degrees and kept else None
+    block = kept.pop() if not base.is_polynomial and kept else None
     mask = sum(field << shifts[i] for i in kept)
-    # digits per block: one more than the block variable's degree bound
-    if base.is_polynomial:
-        span = 1 + sum(max(len(c) for terms in row for c in terms.values()) - 1 for row in rows)
-    else:
-        span = 1 + (top[block] if block is not None else 0)
 
     def blocked(terms):
         out = {}
@@ -765,14 +751,12 @@ def determinant(m):
         minors = {k: f for k, acc in nxt.items() if (f := {e: c for e, c in acc.items() if c})}
 
     p, half, radix = base.p, 1 << (B - 1), 1 << B
-    total = sum(degrees) if drop else 0
+    total = sum(degrees) if dropped is not None else 0
     terms = {}
     for key, v in minors.get((1 << n) - 1, {}).items():
         exps = [key >> s & field for s in shifts]
         digits = []
-        for _ in range(span):
-            if not v:
-                break
+        while v:
             d = v & (radix - 1)
             v >>= B
             if d >= half:  # balanced digit: borrow from the next one

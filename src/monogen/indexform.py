@@ -28,10 +28,15 @@ def matrix_of_coefficients(alg: StructureAlgebra):
     bits per variable, so a product of monomials is the sum of their keys.
     Over Z[t] and F_p[t] the exponent of t is packed above the n x-fields,
     so every coefficient is a plain int and one product loop serves all
-    four bases; regrouped gathers the powers of t back into coefficient
-    tuples at the end.  Over F_p and F_p[t] each row is reduced mod p once.
+    four bases; at the end the powers of t are gathered back into
+    coefficient tuples, keyed by the x-part, and one unpack serves all four
+    bases too.  Over F_p and F_p[t] each row is reduced mod p once.
     Multiplication by theta sends a_i e_i to a_i * sum_j c_ijk x_j in
     coordinate k, so each nonzero linear form sum_j c_ijk x_j is packed once.
+
+    Row i is homogeneous of degree i - 1, so determinant leaves out the
+    last variable the entries use and carries the one before it, or t over
+    Z[t] and F_p[t], inside its integers.
     """
     base, n, p = alg.base, alg.rank, alg.base.p
     pinned = alg.identity_basis_index()
@@ -68,6 +73,16 @@ def matrix_of_coefficients(alg: StructureAlgebra):
         else:
             row = [{e: r for e, c in acc.items() if (r := c % p)} for acc in nxt]
         rows.append(row)
+    if base.is_polynomial:  # gather the powers of t into coefficient tuples
+        low = (1 << t_shift) - 1
+        for row in rows:
+            for k, terms in enumerate(row):
+                row[k] = gathered = {}
+                for key, c in terms.items():
+                    d, key = key >> t_shift, key & low
+                    old = gathered.get(key, ())
+                    old += (0,) * (d + 1 - len(old))
+                    gathered[key] = old[:d] + (c,) + old[d + 1:]
     mask = (1 << width) - 1
     shifts = [width * j for j in range(n)]
     exps_of = {}  # the entries of a row share their monomials
@@ -81,21 +96,7 @@ def matrix_of_coefficients(alg: StructureAlgebra):
             out[exps] = c
         return SparsePoly._derived(base, n, out)
 
-    def regrouped(terms):
-        """unpacked, with the powers of t gathered into coefficient tuples."""
-        out = {}
-        for key, c in terms.items():
-            exps = exps_of.get(key)
-            if exps is None:
-                exps = exps_of[key] = tuple(key >> s & mask for s in shifts)
-            d = key >> t_shift
-            old = out.get(exps, ())
-            old += (0,) * (d + 1 - len(old))
-            out[exps] = old[:d] + (c,) + old[d + 1:]
-        return SparsePoly._derived(base, n, out)
-
-    unpack = regrouped if base.is_polynomial else unpacked
-    return [[unpack(f) for f in r] for r in rows]
+    return [[unpacked(f) for f in r] for r in rows]
 
 
 @dataclass(frozen=True)

@@ -359,6 +359,13 @@ class TestDeterminism:
         assert code == 0
         assert out == golden
 
+    def test_index_form_rank_six_matches_golden(self, capsys):
+        here = Path(__file__).parent
+        golden = (here / "trinomial6_index_form_golden.json").read_text(encoding="utf-8")
+        code, out, _ = run(capsys, "index-form", str(here / "trinomial6.json"), "--json")
+        assert code == 0
+        assert out == golden
+
     def test_artin_matches_golden(self, capsys):
         """Fibers with p below the number of factors, t = 2, nilpotency 3, and
         residue degrees 1, 2 and 3; the idempotents are part of the output."""

@@ -112,6 +112,10 @@ def _random_poly(rng, arity, base=ZZ):
     return SparsePoly(base, arity, terms)
 
 
+PLAN_BASES = [ZZ, Fp(7), ZX, FpX(5)]
+PLAN_IDS = ["Z", "F7", "ZX", "F5X"]
+
+
 class TestDeterminant:
     def test_identity(self):
         m = [[c(int(i == j)) for j in range(3)] for i in range(3)]
@@ -121,9 +125,12 @@ class TestDeterminant:
         one, a, b, zero = c(1, 2), v(0, 2), v(1, 2), c(0, 2)
         assert determinant([[one, a], [zero, b]]) == b
 
-    def test_vandermonde_3(self):
-        det = determinant(vandermonde(3))
-        prod = difference_product(3)
+    # Vandermonde rows are homogeneous: over Z and F_p the last variable is
+    # left out and the one before it carried; over Z[t] and F_p[t], t is.
+    @pytest.mark.parametrize("base", PLAN_BASES, ids=PLAN_IDS)
+    def test_vandermonde_3(self, base):
+        det = determinant(vandermonde(3, base))
+        prod = difference_product(3, base)
         assert det in (prod, -prod)
 
     def test_non_square_raises(self):
@@ -155,13 +162,14 @@ class TestDeterminant:
                 at = [[f.evaluate([x]) for f in row] for row in m]
                 assert det.evaluate([x]) == int_adjugate(at)[0] % 5
 
-    def test_bareiss_vandermonde_5(self):
-        det = determinant(vandermonde(5))
-        prod = difference_product(5)
+    @pytest.mark.parametrize("base", PLAN_BASES, ids=PLAN_IDS)
+    def test_bareiss_vandermonde_5(self, base):
+        det = determinant(vandermonde(5, base))
+        prod = difference_product(5, base)
         assert det in (prod, -prod)
         pt = [2, -1, 3, 0, 5]
         at = [[f.evaluate(pt) for f in row] for row in vandermonde(5)]
-        assert det.evaluate(pt) == int_adjugate(at)[0]
+        assert det.evaluate(pt) == base.coerce(int_adjugate(at)[0])
 
     def test_bareiss_matches_cofactor_zx(self):
         rng = random.Random(19)
@@ -631,23 +639,33 @@ class TestTupPowmod:
         assert len(got) < len(f) and all(0 <= c < p for c in got)
 
 
+@st.composite
+def gcd_cases(draw):
+    """(a, b, p): a = d*a1 is monic and reduced; b = d*b1 times a scalar is
+    neither monic nor reduced: p times random integers is added to its
+    coefficients, and a multiple of p may sit above its leading one."""
+    p = draw(st.sampled_from(TUP_PRIMES))
+    d = draw(monic_mod_p(p, max_degree=3), label="d")
+    a1 = draw(monic_mod_p(p, max_degree=4), label="a1")
+    b1 = draw(monic_mod_p(p, max_degree=4), label="b1")
+    scale = draw(st.integers(1, p - 1), label="scale")
+    a = _from_gf(gf_mul(_gf(d, p), _gf(a1, p), p, SZZ))
+    b = [scale * c for c in _from_gf(gf_mul(_gf(d, p), _gf(b1, p), p, SZZ))]
+    lift = draw(st.lists(st.integers(-5, 5), min_size=len(b), max_size=len(b)))
+    above = draw(st.lists(st.integers(-3, 3), max_size=2), label="above")
+    return a, tuple(c + p * m for c, m in zip(b, lift)) + tuple(p * m for m in above), p
+
+
 class TestTupGcd:
     @settings(max_examples=200, deadline=None)
-    @given(st.data(), st.sampled_from(TUP_PRIMES))
-    def test_matches_sympy_gcd(self, data, p):
-        # a = d*a1 is monic and reduced; b = d*b1 times a scalar is neither monic
-        # nor reduced: p times random integers is added to its coefficients
-        d = data.draw(monic_mod_p(p, max_degree=3), label="d")
-        a1 = data.draw(monic_mod_p(p, max_degree=4), label="a1")
-        b1 = data.draw(monic_mod_p(p, max_degree=4), label="b1")
-        scale = data.draw(st.integers(1, p - 1), label="scale")
-        a = _from_gf(gf_mul(_gf(d, p), _gf(a1, p), p, SZZ))
-        b = [scale * c for c in _from_gf(gf_mul(_gf(d, p), _gf(b1, p), p, SZZ))]
-        lift = data.draw(st.lists(st.integers(-5, 5), min_size=len(b), max_size=len(b)))
-        b = tuple(c + p * m for c, m in zip(b, lift))
+    @given(gcd_cases())
+    @example(((0, 1, 1), (2, 1), 2))
+    @example(((0, 1, 1), (1, 2), 2))
+    def test_matches_sympy_gcd(self, case):
+        a, b, p = case
         got = _tup_gcd(a, b, p)
         want = _from_gf(gf_gcd(_gf(a, p), _gf(b, p), p, SZZ))
-        assert tuple(c % p for c in got) == want
+        assert got == want
         assert _tup_divmod(a, want, p)[1] == ()
 
     @pytest.mark.parametrize("p", TUP_PRIMES)

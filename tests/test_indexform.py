@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from monogen.errors import LengthMismatch
 from monogen.algebra import OrderPresentation, power_basis_algebra, split_algebra
 from monogen.exactring import (
+    Fp,
     FpX,
     SparsePoly,
     ZX,
@@ -180,19 +181,21 @@ class TestPinnedIdentity:
 
 @st.composite
 def polynomial_power_bases(draw):
-    """Z[t][x]/(f) or F_p[t][x]/(f), f monic in x of degree 2..4 with
-    coefficients of t-degree below 3."""
-    base = draw(st.sampled_from([ZX, FpX(2), FpX(3), FpX(7)]))
+    """base[x]/(f) for base Z, F_p, Z[t] or F_p[t], f monic in x of degree
+    2..4 with small coefficients, of t-degree below 3 over Z[t] and F_p[t]."""
+    base = draw(st.sampled_from([ZZ, Fp(2), Fp(3), Fp(7), ZX, FpX(2), FpX(3), FpX(7)]))
     n = draw(st.integers(2, 4))
-    coefficient = st.lists(st.integers(-3, 3), max_size=3)
+    coefficient = st.integers(-3, 3)
+    if base.is_polynomial:
+        coefficient = st.lists(coefficient, max_size=3)
     f = draw(st.lists(coefficient, min_size=n, max_size=n)) + [1]
     return power_basis_algebra_over(base, f, f"power basis over {base!r}")
 
 
 class TestPolynomialBase:
-    """The power matrix over Z[t] and F_p[t], against the full generic element."""
+    """The power matrix over every base, against the full generic element."""
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(polynomial_power_bases())
     def test_matrix_is_full_power_matrix_without_the_coordinate_of_1(self, alg):
         assert alg.identity_basis_index() == 0
@@ -203,7 +206,7 @@ class TestPolynomialBase:
                 assert f.base == alg.base
                 assert f.terms == {e: c for e, c in g.terms.items() if not e[0]}
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(polynomial_power_bases())
     def test_pinned_form_equals_full_determinant(self, alg):
         full = determinant(full_power_matrix(alg)).canonical_sign()
