@@ -1,10 +1,12 @@
 """Rank-n free algebras given by structure constants.
 
-A StructureAlgebra stores the multiplication table e_i * e_j = sum_k
-c[i][j][k] e_k over a BaseRing, together with the coordinates of 1 in the
-basis.  Every instance is a commutative ring with 1.  A table given as
-structure constants is checked against the ring axioms (commutativity,
-associativity, the given 1), and ValidationError lists every violation.
+A StructureAlgebra stores the multiplication e_i * e_j = sum_k c[i][j][k]
+e_k over a BaseRing as one sparse table, read by products, the index form
+and the discriminant on every base ring, together with the coordinates of
+1 in the basis.  Every instance is a commutative ring with 1.  A table
+given as structure constants is checked against the ring axioms
+(commutativity, associativity, the given 1), and ValidationError lists
+every violation.
 Orders in number fields enter through OrderPresentation (a monic minimal
 polynomial plus a rational basis matrix in the power basis); they are
 valid by construction once the closure check passes, so they skip the
@@ -43,13 +45,16 @@ RANK_CAP = 12
 class StructureAlgebra:
     """Free rank-n commutative algebra with 1 over a base ring, immutable.
 
-    The constructor raises ValidationError, listing every violated axiom,
-    unless the table is commutative and associative with the given 1.
+    ``table[i][j]`` holds the pairs (k, c) with c = c[i][j][k] nonzero, c an
+    int, or a coefficient tuple over Z[t] and F_p[t]; it is the only stored
+    form of the multiplication.  The constructor raises ValidationError,
+    listing every violated axiom, unless the table is commutative and
+    associative with the given 1.
     Algebras that are rings by construction skip the check: orders come
     from ``_derived``, and reductions mod p from ``reduce_mod_p``.
     """
 
-    __slots__ = ("base", "rank", "_constants", "identity", "label", "_table", "_units")
+    __slots__ = ("base", "rank", "table", "identity", "label", "_units")
 
     def __init__(self, base: BaseRing, rank: int, constants, identity, label: str = ""):
         self._fill(base, rank, constants, identity, label)
@@ -73,7 +78,7 @@ class StructureAlgebra:
             raise InvalidAlgebra(f"rank must be in 1..{RANK_CAP}, got {rank!r}")
         self.base = base
         self.rank = rank
-        self._constants = constants = tuple(
+        constants = tuple(
             tuple(tuple(base.coerce(c) for c in row) for row in plane)
             for plane in constants
         )
@@ -88,64 +93,59 @@ class StructureAlgebra:
         self.label = label
         zeros, one = (base.zero,) * rank, (base.one,)
         self._units = tuple(zeros[:i] + one + zeros[i + 1:] for i in range(rank))
-        # over Z and F_p, vec_mul sums plain ints over the nonzero (k, c[i][j][k]) of each (i, j)
-        self._table = None if base.is_polynomial else tuple(
+        self.table = tuple(
             tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in plane)
             for plane in constants
         )
 
     @property
     def constants(self):
-        """c[i][j][k]; a reduction mod p writes them out from its table when first read."""
-        if self._constants is None:
-            n = self.rank
-            rows = [[0] * n for _ in range(n * n)]
-            for row, entries in zip(rows, (e for plane in self._table for e in plane)):
-                for k, c in entries:
-                    row[k] = c
-            self._constants = tuple(tuple(map(tuple, rows[i:i + n])) for i in range(0, n * n, n))
-        return self._constants
+        """c[i][j][k], written out from the table on each read."""
+        n, zero = self.rank, self.base.zero
+
+        def dense(entries):
+            row = [zero] * n
+            for k, c in entries:
+                row[k] = c
+            return tuple(row)
+
+        return tuple(tuple(map(dense, plane)) for plane in self.table)
 
     # -- coordinate arithmetic
 
     def vec_mul(self, v, w):
-        """Product of two coordinate vectors through the structure constants."""
-        base, n, table = self.base, self.rank, self._table
+        """Product of two coordinate vectors through the table: in plain ints
+        over Z and F_p, with base.mul and base.add over Z[t] and F_p[t]."""
+        base, n = self.base, self.rank
         if len(v) != n or len(w) != n:
             raise LengthMismatch("coordinate vectors must have length n")
-        if table is not None:
-            acc = [0] * n
-            nonzero_w = [(j, b) for j, b in enumerate(w) if b]
-            for a, plane in zip(v, table):
+        nonzero_w = [(j, b) for j, b in enumerate(w) if b]
+        if base.is_polynomial:
+            add, mul, acc = base.add, base.mul, [base.zero] * n
+            for a, plane in zip(v, self.table):
                 if a:
                     for j, b in nonzero_w:
-                        ab = a * b
+                        ab = mul(a, b)
                         for k, c in plane[j]:
-                            acc[k] += ab * c
-            p = base.p
-            return tuple(acc) if p is None else tuple([x % p for x in acc])
-        out, constants = [base.zero] * n, self.constants
-        for i in range(n):
-            if base.is_zero(v[i]):
-                continue
-            for j in range(n):
-                if base.is_zero(w[j]):
-                    continue
-                c = base.mul(v[i], w[j])
-                for k in range(n):
-                    t = constants[i][j][k]
-                    if not base.is_zero(t):
-                        out[k] = base.add(out[k], base.mul(c, t))
-        return tuple(out)
+                            acc[k] = add(acc[k], mul(ab, c))
+            return tuple(acc)
+        acc = [0] * n
+        for a, plane in zip(v, self.table):
+            if a:
+                for j, b in nonzero_w:
+                    ab = a * b
+                    for k, c in plane[j]:
+                        acc[k] += ab * c
+        p = base.p
+        return tuple(acc) if p is None else tuple([x % p for x in acc])
 
     def mult_rows(self, v):
         """The products v*e_j for j = 0..n-1, the matrix of multiplication by v, in one pass."""
-        table = self._table
-        if table is None:
+        if self.base.is_polynomial:
             return [self.vec_mul(v, u) for u in self._units]
         n, p = self.rank, self.base.p
         rows = [[0] * n for _ in range(n)]
-        for a, plane in zip(v, table):
+        for a, plane in zip(v, self.table):
             if a:
                 for row, entries in zip(rows, plane):
                     for k, c in entries:
@@ -204,7 +204,7 @@ class StructureAlgebra:
         Reduction keeps the ring axioms, which are integer identities in the
         constants, so the coordinates of 1 and the nonzero entries of the
         integer table are reduced entry by entry, with no coercion and no
-        axiom check; the constants are written out only when read.
+        axiom check.
         """
         if self.base.kind != "Z":
             raise NotIntegerBase("reduction mod p needs base Z")
@@ -214,39 +214,31 @@ class StructureAlgebra:
         red.base, red.rank, red.label = Fp(p), self.rank, f"{self.label} mod {p}"
         red.identity = tuple([u % p for u in self.identity])
         red._units = self._units  # 0 and 1 in Z are 0 and 1 in F_p
-        red._constants = None
         # c[i][j] = c[j][i], so each row is reduced once, for i <= j
         n = self.rank
         table = [[None] * n for _ in range(n)]
-        for i, sparse in enumerate(self._table):
+        for i, sparse in enumerate(self.table):
             for j in range(i, n):
                 table[i][j] = table[j][i] = tuple([(k, r) for k, c in sparse[j] if (r := c % p)])
-        red._table = tuple(map(tuple, table))
+        red.table = tuple(map(tuple, table))
         return red
 
     def discriminant(self) -> int:
         """det of the trace-pairing Gram matrix Tr(e_i e_j); base Z only.
 
-        Tr(e_k) = sum_l c[k][l][l], and Tr(e_i e_j) = sum_k c[i][j][k] Tr(e_k).
+        Tr(e_k) = sum_l c[k][l][l], and Tr(e_i e_j) = sum_k c[i][j][k] Tr(e_k),
+        both read off the table.
         """
         if self.base.kind != "Z":
             raise NotIntegerBase("discriminant needs base Z")
-        c, n = self.constants, self.rank
-        traces = [sum(c[k][j][j] for j in range(n)) for k in range(n)]
-        gram = [[sum(x * t for x, t in zip(c[i][j], traces)) for j in range(n)] for i in range(n)]
+        table = self.table
+        traces = [sum(c for j, row in enumerate(plane) for k, c in row if k == j) for plane in table]
+        gram = [[sum(c * traces[k] for k, c in row) for row in plane] for plane in table]
         return int_adjugate(gram)[0]
 
     def identity_basis_index(self):
         """Index k if the identity coordinates are the k-th unit vector, else None."""
-        base = self.base
-        idx = None
-        for k, u in enumerate(self.identity):
-            if base.is_zero(u):
-                continue
-            if u != base.one or idx is not None:
-                return None
-            idx = k
-        return idx
+        return self._units.index(self.identity) if self.identity in self._units else None
 
     # -- serialization
 

@@ -32,7 +32,8 @@ def matrix_of_coefficients(alg: StructureAlgebra):
     coefficient tuples, keyed by the x-part, and one unpack serves all four
     bases too.  Over F_p and F_p[t] each row is reduced mod p once.
     Multiplication by theta sends a_i e_i to a_i * sum_j c_ijk x_j in
-    coordinate k, so each nonzero linear form sum_j c_ijk x_j is packed once.
+    coordinate k, so each nonzero form sum_j c_ijk x_j is packed once, off
+    the table on all four bases, with t^d shifted up d fields of t.
 
     Row i is homogeneous of degree i - 1, so determinant leaves out the
     last variable the entries use and carries the one before it, or t over
@@ -42,25 +43,19 @@ def matrix_of_coefficients(alg: StructureAlgebra):
     pinned = alg.identity_basis_index()
     width = max((n - 1).bit_length(), 1)
     t_shift = width * n
+    powers_of_t = enumerate if base.is_polynomial else lambda c: ((0, c),)
     times_theta = []
-    for plane in alg.constants:
-        forms = []
-        for k in range(n):
-            if base.is_polynomial:  # t^d goes to key + (d << t_shift)
-                form = {
-                    (1 << (width * j)) + (d << t_shift): x
-                    for j, c in enumerate(plane) if j != pinned
-                    for d, x in enumerate(c[k]) if x
-                }
-            else:
-                form = {1 << (width * j): c[k] for j, c in enumerate(plane) if j != pinned and c[k]}
-            if form:
-                forms.append((k, form))
-        times_theta.append(forms)
-    if base.is_polynomial:
-        row = [{d << t_shift: x for d, x in enumerate(u) if x} for u in alg.identity]
-    else:
-        row = [{0: u} if u else {} for u in alg.identity]
+    for plane in alg.table:
+        forms = {}
+        for j, entries in enumerate(plane):
+            if j != pinned:
+                for k, c in entries:
+                    form = forms.setdefault(k, {})
+                    for d, x in powers_of_t(c):
+                        if x:
+                            form[(1 << (width * j)) + (d << t_shift)] = x
+        times_theta.append(forms.items())
+    row = [{d << t_shift: x for d, x in powers_of_t(u) if x} for u in alg.identity]
     rows = [row]
     for _ in range(n - 1):
         nxt = [{} for _ in range(n)]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import NotIntegerBase, ZeroIndexForm
+from .errors import BudgetExceeded, NotIntegerBase, ZeroIndexForm
 from .exactring import Fp, FpX, content_primes, is_prime
 from .algebra import StructureAlgebra
 from .indexform import IndexForm, index_form
@@ -132,14 +132,19 @@ def local_obstruction_primes(
 
     The values lie in F_p, or in F_p[t] for a form over Z[t].  Any such
     prime rules out a global monogenerator even when no common index
-    divisor exists.
+    divisor exists.  A value set beyond the cap raises BudgetExceeded, its
+    ``found`` the primes found before it.
     """
     fiber = FpX if form.form.base.is_polynomial else Fp
     out = []
     for p in range(2, bound + 1):
         if not is_prime(p):
             continue
-        base, vals = fiber(p), value_set_mod_p(form, p, cap)
+        try:
+            base, vals = fiber(p), value_set_mod_p(form, p, cap)
+        except BudgetExceeded as e:
+            e.found = out
+            raise
         if base.one not in vals and base.neg(base.one) not in vals:
             out.append(p)
     return out
@@ -239,9 +244,11 @@ def classify(
         reason = f"common index divisor {cids[0]}"
     else:
         notes.append(f"height {height} exhausted without a witness")
-        obstructions = local_obstruction_primes(form, cap=cap)
-        for p in obstructions:
-            notes.append(f"local obstruction: values mod {p} never units")
+        try:
+            obstructions, stop = local_obstruction_primes(form, cap=cap), []
+        except BudgetExceeded as e:  # the scan only adds notes: the cap ends it, not the report
+            obstructions, stop = e.found, [f"obstruction scan stopped at {e}"]
+        notes += [f"local obstruction: values mod {p} never units" for p in obstructions] + stop
 
     report = MonogenicityReport(
         label=alg.label,

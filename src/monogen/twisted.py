@@ -8,7 +8,7 @@ coincide because the class number of Z is one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import DegenerateDegree
 
@@ -24,15 +24,7 @@ class TwistedCurveVerdict:
     line_bundle_degree: int | None
 
     def to_json(self):
-        return {
-            "degree": self.degree,
-            "genus_source": self.genus_source,
-            "genus_target": self.genus_target,
-            "triangular": self.triangular,
-            "steinitz_degree": self.steinitz_degree,
-            "divisible": self.divisible,
-            "line_bundle_degree": self.line_bundle_degree,
-        }
+        return asdict(self)
 
     def render(self) -> str:
         head = (

@@ -18,7 +18,7 @@ from monogen.algebra import (
     power_basis_algebra,
     split_algebra,
 )
-from monogen.exactring import Fp, ZZ, discriminant_unipoly, int_adjugate
+from monogen.exactring import Fp, FpX, ZX, ZZ, discriminant_unipoly, int_adjugate
 from conftest import (
     change_basis,
     dedekind_order,
@@ -180,17 +180,52 @@ class TestIntegerOrders:
         assert dedekind_order().rank == 3
 
 
+FOUR_BASES = [ZZ, Fp(2), Fp(3), Fp(7), ZX, FpX(5)]
+
+
+def elements(base):
+    """Raw inputs for base.coerce: zeros, and over F_p multiples of p, included."""
+    ints = st.one_of(st.just(0), st.integers(-9, 9))
+    if base.is_polynomial:
+        return st.one_of(ints, st.lists(ints, max_size=3))
+    return ints
+
+
+@st.composite
+def raw_tables(draw):
+    """(base, n, constants) for a random table, not necessarily a ring, over any base."""
+    base = draw(st.sampled_from(FOUR_BASES))
+    n = draw(st.integers(1, 5))
+    flat = draw(st.lists(st.lists(elements(base), min_size=n, max_size=n),
+                         min_size=n * n, max_size=n * n))
+    return base, n, [flat[i * n:(i + 1) * n] for i in range(n)]
+
+
 @st.composite
 def tables_and_vectors(draw):
-    """A random table (not necessarily a ring) over Z or F_p, and two vectors."""
-    base = draw(st.sampled_from([ZZ, Fp(2), Fp(3), Fp(7)]))
-    n = draw(st.integers(1, 5))
-    entries = st.lists(st.one_of(st.just(0), st.integers(-9, 9)), min_size=n, max_size=n)
-    flat = draw(st.lists(entries, min_size=n * n, max_size=n * n))
-    constants = [flat[i * n:(i + 1) * n] for i in range(n)]
+    """A random table (not necessarily a ring) over any base, and two vectors."""
+    base, n, constants = draw(raw_tables())
     alg = StructureAlgebra._derived(base, n, constants, [0] * n, "random table")
-    v, w = (tuple(base.coerce(x) for x in draw(entries)) for _ in range(2))
+    vector = st.lists(elements(base), min_size=n, max_size=n)
+    v, w = (tuple(base.coerce(x) for x in draw(vector)) for _ in range(2))
     return alg, v, w
+
+
+@st.composite
+def power_basis_rings(draw):
+    """base[x]/(f) in the power basis, f monic of degree 1..4, over any base."""
+    base = draw(st.sampled_from(FOUR_BASES))
+    n = draw(st.integers(1, 4))
+    f = [base.coerce(c) for c in draw(st.lists(elements(base), min_size=n, max_size=n))]
+    # x^k mod f for k = 0..2n-2, from x^(k+1) = x * x^k and x^n = -(f_0 + ... + f_(n-1) x^(n-1))
+    power = [base.one] + [base.zero] * (n - 1)
+    powers = [power]
+    for _ in range(2 * n - 2):
+        top, power = power[-1], [base.zero] + power[:-1]
+        power = [base.add(a, base.neg(base.mul(top, c))) for a, c in zip(power, f)]
+        powers.append(power)
+    constants = [[powers[i + j] for j in range(n)] for i in range(n)]
+    return StructureAlgebra(base, n, constants, powers[0], "power basis")
 
 
 class TestVecMul:
@@ -198,13 +233,37 @@ class TestVecMul:
     @given(tables_and_vectors())
     def test_table_kernel_matches_base_ring_arithmetic(self, case):
         alg, v, w = case
-        base, n = alg.base, alg.rank
+        base, n, c = alg.base, alg.rank, alg.constants
         out = [base.zero] * n
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    out[k] = base.add(out[k], base.mul(base.mul(v[i], w[j]), alg.constants[i][j][k]))
+                    out[k] = base.add(out[k], base.mul(base.mul(v[i], w[j]), c[i][j][k]))
         assert alg.vec_mul(v, w) == tuple(out)
+
+    @settings(max_examples=100, deadline=None)
+    @given(tables_and_vectors())
+    def test_mult_rows_are_products_with_basis_vectors(self, case):
+        alg, v, _ = case
+        assert alg.mult_rows(v) == [alg.vec_mul(v, alg.basis_vector(j)) for j in range(alg.rank)]
+
+
+class TestTable:
+    @settings(max_examples=100, deadline=None)
+    @given(raw_tables())
+    def test_constants_are_the_coerced_input(self, case):
+        base, n, raw = case
+        alg = StructureAlgebra._derived(base, n, raw, [0] * n, "random table")
+        assert alg.constants == tuple(
+            tuple(tuple(base.coerce(c) for c in row) for row in plane) for plane in raw
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(power_basis_rings())
+    def test_json_round_trip_keeps_the_table(self, alg):
+        back = StructureAlgebra.from_json(alg.to_json())
+        assert (back.base, back.rank, back.identity) == (alg.base, alg.rank, alg.identity)
+        assert back.constants == alg.constants
 
 
 class TestReduceModP:

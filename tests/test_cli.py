@@ -377,6 +377,29 @@ class TestDeterminism:
             assert code == 0
             assert out == want, (path, p)
 
+    def test_validate_matches_golden(self, capsys):
+        """The ten corpus fixtures, then a Z[t] table that breaks two axioms."""
+        here = Path(__file__).parent
+        golden = (here / "validate_golden.jsonl").read_text(encoding="utf-8").splitlines(True)
+        cases = [(p, 0) for p in sorted(corpus_dir().glob("*.json"))]
+        cases.append((here / "invalid_zx_table.json", 1))
+        assert len(golden) == len(cases)
+        for (path, want_code), want in zip(cases, golden):
+            code, out, err = run(capsys, "validate", str(path), "--json")
+            assert (code, out, err) == (want_code, want, ""), path.name
+
+    def test_twisted_curve_json(self, capsys):
+        code, out, _ = run(capsys, "twisted-curve", "--degree", "3", "--genus-source", "1",
+                           "--genus-target", "0", "--json")
+        assert code == 0
+        assert out == ('{"degree": 3, "genus_source": 1, "genus_target": 0, "triangular": 3, '
+                       '"steinitz_degree": -3, "divisible": true, "line_bundle_degree": 1}\n')
+        code, out, _ = run(capsys, "twisted-curve", "--degree", "3", "--genus-source", "0",
+                           "--genus-target", "0", "--json")
+        assert code == 0
+        assert out == ('{"degree": 3, "genus_source": 0, "genus_target": 0, "triangular": 3, '
+                       '"steinitz_degree": -2, "divisible": false, "line_bundle_degree": null}\n')
+
     def test_classify_byte_identical(self, capsys):
         _, out1, _ = run(capsys, "classify", fixture_path("sqrt2_sqrt3"), "--json")
         _, out2, _ = run(capsys, "classify", fixture_path("sqrt2_sqrt3"), "--json")

@@ -4,7 +4,7 @@ from sympy import Poly, discriminant, primefactors, symbols
 
 from monogen.errors import BudgetExceeded, NotIntegerBase, ZeroIndexForm
 from monogen import artin
-from monogen.algebra import OrderPresentation, StructureAlgebra, split_algebra
+from monogen.algebra import OrderPresentation, StructureAlgebra, power_basis_algebra, split_algebra
 from monogen.exactring import ZZ
 from monogen.indexform import check_monogenerator, index_form
 from monogen.localmono import (
@@ -176,6 +176,26 @@ class TestClassify:
         assert r.zariski_local and r.geometric
         assert any("local obstruction: values mod 7 never units" in n for n in r.notes)
         assert any("not twisted monogenic" in n for n in r.notes)
+
+    def test_budget_ends_only_the_obstruction_scan(self):
+        # x^4 - x - 1: the value set mod 11 has 11^3 > 343 points; every verdict
+        # before the obstruction scan fits in the cap
+        alg = power_basis_algebra([-1, -1, 0, 0, 1])
+        full, capped = classify(alg, 0), classify(alg, 0, cap=343)
+        assert capped.global_status == full.global_status == "Unknown"
+        for field in ("zariski_local", "common_index_divisors", "geometric",
+                      "vanishing_fibers", "primes", "artin_crosscheck"):
+            assert getattr(capped, field) == getattr(full, field), field
+        stop = "obstruction scan stopped at value set mod 11: 11^3 exceeds the enumeration cap 343"
+        assert stop in capped.notes and stop not in full.notes
+        assert not any("local obstruction" in n for n in capped.notes)
+
+    def test_budget_keeps_the_obstructions_found_before_it(self, corpus):
+        alg = next(a for n, a, _ in corpus if n == "cbrt175")
+        notes = classify(alg, 1, cap=100).notes
+        assert "local obstruction: values mod 7 never units" in notes
+        assert "obstruction scan stopped at value set mod 11: 11^2 exceeds the enumeration cap 100" in notes
+        assert any("not twisted monogenic" in n for n in notes)
 
     def test_implications_on_corpus(self, corpus_z):
         for name, alg, _ in corpus_z:
