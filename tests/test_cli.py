@@ -400,6 +400,19 @@ class TestDeterminism:
         assert out == ('{"degree": 3, "genus_source": 0, "genus_target": 0, "triangular": 3, '
                        '"steinitz_degree": -2, "divisible": false, "line_bundle_degree": null}\n')
 
+    def test_text_matches_golden(self, capsys, monkeypatch):
+        """Each argv of cli_text_cases.txt, paths from the root of the checkout: a header,
+        stdout, stderr and the exit code, in the format the CI runtime job writes."""
+        here = Path(__file__).parent
+        monkeypatch.chdir(here.parent)
+        cases = (here / "cli_text_cases.txt").read_text(encoding="utf-8").splitlines()
+        golden = (here / "cli_text_golden.txt").read_text(encoding="utf-8")
+        got = []
+        for line in cases:
+            code, out, err = run(capsys, *line.split())
+            got.append(f"$ monogen {line}\n{out}{err}[exit {code}]\n")
+        assert "".join(got) == golden
+
     def test_classify_byte_identical(self, capsys):
         _, out1, _ = run(capsys, "classify", fixture_path("sqrt2_sqrt3"), "--json")
         _, out2, _ = run(capsys, "classify", fixture_path("sqrt2_sqrt3"), "--json")
