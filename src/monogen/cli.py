@@ -1,8 +1,11 @@
 """Command-line front end.
 
-Subcommands: validate, index-form, classify, artin, search, twisted-curve,
-corpus.  All output is deterministic; --json switches to machine-readable
-reports.  MONOGEN_MAX_ENUM overrides the enumeration cap.
+Each subcommand is declared once, as one row of ``COMMANDS`` (help,
+arguments, handler), which both ``build_parser`` and ``main`` read.
+Every subcommand takes --json.  A handler returns its exit code and two
+zero-argument formatters, one for the JSON document and one for the
+text; ``main`` prints, and formats only the output asked for.  All
+output is deterministic.  MONOGEN_MAX_ENUM overrides the enumeration cap.
 """
 
 from __future__ import annotations
@@ -33,6 +36,91 @@ def _enum_cap() -> int:
     return DEFAULT_ENUM_CAP
 
 
+def _validate(args, cap):
+    try:
+        alg = parse_input(args.input)
+    except ValidationError as exc:
+        violations = exc.violations
+        return (1, lambda: {"ok": False, "violations": violations},
+                lambda: "\n".join(f"violated: {v}" for v in violations))
+    return (0, lambda: {"ok": True, "label": alg.label, "rank": alg.rank},
+            lambda: f"ok: {alg.label or 'algebra'} (rank {alg.rank})")
+
+
+def _index_form(args, cap):
+    form = index_form(parse_input(args.input))
+    return 0, form.to_json, form.text
+
+
+def _classify(args, cap):
+    report = localmono.classify(parse_input(args.input), args.height, cap)
+    return 0, report.to_json, report.render
+
+
+def _artin(args, cap):
+    dec = artin.decompose(parse_input(args.input).reduce_mod_p(args.prime))
+    verdict = artin.fiber_monogenic(dec)
+
+    def text():
+        lines = [f"factor: dim={f.dimension} f={f.residue_degree} "
+                 f"t={f.tangent_dim} nilpotency_index={f.nilpotency_index}" for f in dec.factors]
+        return "\n".join([*lines, f"fiber monogenic at {args.prime}: {verdict}"])
+
+    return 0, lambda: {**dec.to_json(), "fiber_monogenic": verdict}, text
+
+
+def _search(args, cap):
+    res = search_monogenerators(parse_input(args.input), args.height, cap)
+
+    def text():
+        head = (f"height {res.height}: {len(res.witnesses)} witnesses, "
+                f"{len(res.classes)} affine classes, exhausted={res.exhausted}")
+        return "\n".join([head, *(f"  class representative: {list(c)}" for c in res.classes)])
+
+    return 0, res.to_json, text
+
+
+def _twisted_curve(args, cap):
+    verdict = twisted.curve_twisted_constraint(args.degree, args.genus_source, args.genus_target)
+    return 0, verdict.to_json, verdict.render
+
+
+def _corpus(args, cap):
+    rows = run_corpus(cap)
+    failures = sum(not r["ok"] for r in rows)
+
+    def text():
+        width = max((len(r["fixture"]) for r in rows), default=8)
+        lines = [f"{'PASS' if r['ok'] else 'FAIL'}  {r['fixture']:<{width}}  "
+                 f"{r['check']:<24} {r['detail']}" for r in rows]
+        return "\n".join([*lines, f"{len(rows) - failures}/{len(rows)} checks passed"])
+
+    return int(failures > 0), lambda: {"results": rows, "failures": failures}, text
+
+
+_INPUT = ("input", {})
+_HEIGHT = ("--height", {"type": int, "default": 10})
+
+
+def _required_int(flag):
+    return flag, {"type": int, "required": True}
+
+
+# name -> (help, arguments, handler); every subcommand also takes --json
+COMMANDS = {
+    "validate": ("check the ring axioms of an input algebra", [_INPUT], _validate),
+    "index-form": ("print the index form of an algebra", [_INPUT], _index_form),
+    "classify": ("full monogenicity report", [_INPUT, _HEIGHT], _classify),
+    "artin": ("local factors of the fiber algebra at a prime",
+              [_INPUT, _required_int("--prime")], _artin),
+    "search": ("height-bounded monogenerator search", [_INPUT, _HEIGHT], _search),
+    "twisted-curve": ("line-bundle divisibility constraint for curve covers",
+                      [_required_int("--degree"), _required_int("--genus-source"),
+                       _required_int("--genus-target")], _twisted_curve),
+    "corpus": ("run the fixture suite against expected values", [], _corpus),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process."""
@@ -41,156 +129,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Classify finite free ring extensions by monogenicity.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check the ring axioms of an input algebra")
-    p.add_argument("input")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("index-form", help="print the index form of an algebra")
-    p.add_argument("input")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("classify", help="full monogenicity report")
-    p.add_argument("input")
-    p.add_argument("--height", type=int, default=10)
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("artin", help="local factors of the fiber algebra at a prime")
-    p.add_argument("input")
-    p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("search", help="height-bounded monogenerator search")
-    p.add_argument("input")
-    p.add_argument("--height", type=int, default=10)
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("twisted-curve", help="line-bundle divisibility constraint for curve covers")
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--genus-source", type=int, required=True)
-    p.add_argument("--genus-target", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("corpus", help="run the fixture suite against expected values")
-    p.add_argument("--json", action="store_true")
-
+    for name, (summary, arguments, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.add_argument("--json", action="store_true")
     return parser
-
-
-def _cmd_validate(args, cap):
-    try:
-        alg = parse_input(args.input)
-    except ValidationError as exc:
-        if args.json:
-            print(json.dumps({"ok": False, "violations": exc.violations}))
-        else:
-            for v in exc.violations:
-                print(f"violated: {v}")
-        return 1
-    if args.json:
-        print(json.dumps({"ok": True, "label": alg.label, "rank": alg.rank}))
-    else:
-        print(f"ok: {alg.label or 'algebra'} (rank {alg.rank})")
-    return 0
-
-
-def _cmd_index_form(args, cap):
-    alg = parse_input(args.input)
-    form = index_form(alg)
-    if args.json:
-        print(json.dumps(form.to_json()))
-    else:
-        print(form.text())
-    return 0
-
-
-def _cmd_classify(args, cap):
-    alg = parse_input(args.input)
-    report = localmono.classify(alg, args.height, cap)
-    if args.json:
-        print(json.dumps(report.to_json()))
-    else:
-        print(report.render())
-    return 0
-
-
-def _cmd_artin(args, cap):
-    alg = parse_input(args.input)
-    dec = artin.decompose(alg.reduce_mod_p(args.prime))
-    verdict = artin.fiber_monogenic(dec)
-    if args.json:
-        print(json.dumps({**dec.to_json(), "fiber_monogenic": verdict}))
-    else:
-        for f in dec.factors:
-            print(
-                f"factor: dim={f.dimension} f={f.residue_degree} "
-                f"t={f.tangent_dim} nilpotency_index={f.nilpotency_index}"
-            )
-        print(f"fiber monogenic at {args.prime}: {verdict}")
-    return 0
-
-
-def _cmd_search(args, cap):
-    alg = parse_input(args.input)
-    res = search_monogenerators(alg, args.height, cap)
-    if args.json:
-        print(json.dumps(res.to_json()))
-    else:
-        print(f"height {res.height}: {len(res.witnesses)} witnesses, "
-              f"{len(res.classes)} affine classes, exhausted={res.exhausted}")
-        for c in res.classes:
-            print(f"  class representative: {list(c)}")
-    return 0
-
-
-def _cmd_twisted_curve(args, cap):
-    verdict = twisted.curve_twisted_constraint(
-        args.degree, args.genus_source, args.genus_target
-    )
-    if args.json:
-        print(json.dumps(verdict.to_json()))
-    else:
-        print(verdict.render())
-    return 0
-
-
-def _cmd_corpus(args, cap):
-    rows = run_corpus(cap)
-    failures = [r for r in rows if not r["ok"]]
-    if args.json:
-        print(json.dumps({"results": rows, "failures": len(failures)}))
-    else:
-        width = max(len(r["fixture"]) for r in rows) if rows else 8
-        for r in rows:
-            mark = "PASS" if r["ok"] else "FAIL"
-            print(f"{mark}  {r['fixture']:<{width}}  {r['check']:<24} {r['detail']}")
-        print(f"{len(rows) - len(failures)}/{len(rows)} checks passed")
-    return 1 if failures else 0
-
-
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "index-form": _cmd_index_form,
-    "classify": _cmd_classify,
-    "artin": _cmd_artin,
-    "search": _cmd_search,
-    "twisted-curve": _cmd_twisted_curve,
-    "corpus": _cmd_corpus,
-}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     cap = _enum_cap()
+    stream = sys.stdout
     try:
-        return _COMMANDS[args.command](args, cap)
+        code, doc, text = COMMANDS[args.command][2](args, cap)
     except MonogenError as exc:
-        if getattr(args, "json", False):
-            print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-                  file=sys.stderr)
-        else:
-            print(f"error: {exc}", file=sys.stderr)
-        return 1
+        error = {"error": type(exc).__name__, "message": str(exc)}
+        code, stream = 1, sys.stderr
+        doc, text = (lambda: error), (lambda: f"error: {error['message']}")
+    print(json.dumps(doc()) if args.json else text(), file=stream)
+    return code
 
 
 if __name__ == "__main__":

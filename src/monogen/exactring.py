@@ -542,25 +542,18 @@ class SparsePoly:
     def evaluate(self, values):
         """Substitute a base-ring element for each variable.
 
-        Over Z and F_p the sum is taken in plain ints and reduced mod p once;
-        a univariate polynomial, a line of a scan, skips the per-term zip.
+        A univariate polynomial over Z or F_p, a line of a scan, is summed in
+        plain ints and reduced mod p once; any other in the base ring.
         """
         if len(values) != self.arity:
             raise ArityMismatch(f"expected {self.arity} values, got {len(values)}")
         base = self.base
         vals = [base.coerce(v) for v in values]
-        if not base.is_polynomial:
+        if self.arity == 1 and not base.is_polynomial:
             acc = 0
-            if self.arity == 1:
-                x = vals[0]
-                for (e,), c in self.terms.items():
-                    acc += c * x**e
-            else:
-                for exps, c in self.terms.items():
-                    for v, e in zip(vals, exps):
-                        if e:
-                            c *= v**e
-                    acc += c
+            x = vals[0]
+            for (e,), c in self.terms.items():
+                acc += c * x**e
             return acc if base.p is None else acc % base.p
         acc = base.zero
         for exps, c in self.terms.items():

@@ -36,8 +36,6 @@ def load_algebra_json(doc, label_hint: str = "") -> StructureAlgebra:
                 "expected either structure constants ('constants') or an "
                 "order presentation ('minpoly' + 'basis')"
             )
-    except MonogenError:
-        raise
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"malformed input: {exc}") from exc
     return alg

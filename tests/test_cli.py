@@ -10,6 +10,7 @@ from monogen.algebra import OrderPresentation
 from monogen.cli import main
 from monogen.fixtures import corpus_dir, parse_input
 from monogen.errors import NotClosedUnderMultiplication, ParseError
+from monogen.indexform import IndexForm
 
 
 # the (input, prime) of each line of artin_golden.jsonl, one "path:prime" a line,
@@ -328,6 +329,16 @@ class TestCommands:
             main(["no-such-command"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("mode,unused", [(["--json"], "text"), ([], "to_json")],
+                             ids=["json", "text"])
+    def test_only_the_printed_form_is_formatted(self, capsys, monkeypatch, mode, unused):
+        def fail(self):
+            raise AssertionError(f"IndexForm.{unused} called")
+
+        monkeypatch.setattr(IndexForm, unused, fail)
+        code, out, err = run(capsys, "index-form", fixture_path("dedekind"), *mode)
+        assert code == 0 and out and err == ""
+
     def test_enum_cap_env(self, capsys, monkeypatch):
         monkeypatch.setenv("MONOGEN_MAX_ENUM", "2")
         code, _, err = run(capsys, "search", fixture_path("cbrt175"), "--height", "20")
@@ -349,6 +360,12 @@ class TestDeterminism:
         b = subprocess.run(cmd, capture_output=True, text=True)
         assert a.returncode == 0 and b.returncode == 0
         assert a.stdout == b.stdout
+
+    def test_python_m_monogen(self):
+        cmd = [sys.executable, "-m", "monogen", "corpus", "--json"]
+        proc = subprocess.run(cmd, capture_output=True, text=True)
+        golden = Path(__file__).with_name("corpus_golden.json").read_text(encoding="utf-8")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, golden, "")
 
     def test_classify_rank_six_matches_golden(self, capsys):
         here = Path(__file__).parent
