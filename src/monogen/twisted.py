@@ -62,8 +62,8 @@ def base_Z_twisted_note(report, obstructions) -> None:
     """Annotate a base-Z report with its local obstruction primes: over Z twisted = monogenic."""
     exp = steinitz_exponent(max(report.rank, 1))
     report.notes.append(
-        f"steinitz class constraint: any twisted monogenerator forces an "
-        f"{exp}th-power steinitz class"
+        f"steinitz class constraint: any twisted monogenerator forces the "
+        f"steinitz class to be a d-th power, d = {exp}"
     )
     if report.global_status == "Monogenic":
         report.notes.append("twisted = global over Z (h(Z)=1); monogenic")
