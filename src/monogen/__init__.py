@@ -10,7 +10,6 @@ from .exactring import (
     berlekamp_factor,
     content_primes,
     determinant,
-    discriminant_unipoly,
     necklace_count,
 )
 from .algebra import (

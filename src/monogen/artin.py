@@ -53,10 +53,6 @@ class ArtinDecomposition:
     factors: tuple
     idempotents: tuple
 
-    @property
-    def dimension(self) -> int:
-        return sum(f.dimension for f in self.factors)
-
     def to_json(self):
         return {
             "p": self.prime,

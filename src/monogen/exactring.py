@@ -4,11 +4,12 @@ Base rings (Z, F_p, Z[t], F_p[t]), sparse multivariate polynomials in
 graded-lex canonical form, the symbolic determinant, one elimination over
 Z (int_adjugate: fraction-free, giving det and adjugate together), one
 over F_p (fp_rref, with fp_kernel on top), roots over F_p by Berlekamp's
-splitting (cost polynomial in log p, not a walk over F_p), necklace
-counts, and integer-polynomial discriminants.  Univariate polynomials are
-dense tuples, constant term first, and the _tup_* helpers are their only
-arithmetic: over Z, or over F_p when given p; one loop, _tup_rem, reduces
-mod a monic f for division, gcds and powers.
+splitting (cost polynomial in log p, not a walk over F_p), and necklace
+counts.  A SparsePoly is a form to evaluate, reduce, sign and print; it has
+no ring arithmetic, since only determinant multiplies polynomials.
+Univariate polynomials are dense tuples, constant term first, and the
+_tup_* helpers are their only arithmetic: over Z, or over F_p when given
+p; one loop, _tup_rem, reduces mod a monic f for division, gcds and powers.
 
 Element encodings per base ring:
   Z    -> python int
@@ -436,21 +437,11 @@ class SparsePoly:
         return poly
 
     @classmethod
-    def zero(cls, base, arity):
-        return cls(base, arity)
-
-    @classmethod
     def constant(cls, base, arity, c):
         c = base.coerce(c)
         if base.is_zero(c):
             return cls(base, arity)
         return cls(base, arity, {(0,) * arity: c})
-
-    @classmethod
-    def variable(cls, base, arity, i):
-        exps = [0] * arity
-        exps[i] = 1
-        return cls(base, arity, {tuple(exps): base.one})
 
     # -- predicates and views
 
@@ -478,64 +469,12 @@ class SparsePoly:
         if self.arity != other.arity:
             raise ArityMismatch(f"arity {self.arity} vs {other.arity}")
 
-    # -- arithmetic
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        terms = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = self.base.add(terms.get(exps, self.base.zero), c)
-            if self.base.is_zero(s):
-                terms.pop(exps, None)
-            else:
-                terms[exps] = s
-        return SparsePoly(self.base, self.arity, terms)
+    # -- negation, for canonical_sign
 
     def __neg__(self):
         return SparsePoly(
             self.base, self.arity, {e: self.base.neg(c) for e, c in self.terms.items()}
         )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        self._check_compatible(other)
-        base = self.base
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = base.mul(c1, c2)
-                s = base.add(terms.get(e, base.zero), c)
-                if base.is_zero(s):
-                    terms.pop(e, None)
-                else:
-                    terms[e] = s
-        return SparsePoly(base, self.arity, terms)
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise MonogenError("negative power")
-        out = SparsePoly.constant(self.base, self.arity, 1)
-        b = self
-        while k:
-            if k & 1:
-                out = out * b
-            b = b * b
-            k >>= 1
-        return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SparsePoly)
-            and self.base == other.base
-            and self.arity == other.arity
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.base, self.arity, frozenset(self.terms.items())))
 
     # -- evaluation / reduction
 
@@ -627,13 +566,6 @@ class SparsePoly:
                 [self.base.elem_to_json(c), list(e)] for e, c in self.sorted_terms()
             ],
         }
-
-    @classmethod
-    def from_json(cls, d):
-        base = BaseRing.from_json(d["base"])
-        arity = len(d["vars"])
-        terms = {tuple(e): base.coerce(c) for c, e in d["terms"]}
-        return cls(base, arity, terms)
 
     def __repr__(self):
         return f"SparsePoly({self.text()})"
@@ -921,7 +853,7 @@ def berlekamp_factor(f, p: int):
 
 
 # ---------------------------------------------------------------------------
-# counting and discriminants
+# counting
 
 
 def _mobius(n: int) -> int:
@@ -940,36 +872,3 @@ def necklace_count(p: int, f: int) -> int:
     total = sum(_mobius(d) * p ** (f // d) for d in range(1, f + 1) if f % d == 0)
     return total // f
 
-
-def discriminant_unipoly(f) -> int:
-    """Discriminant of a monic integer polynomial, via the Sylvester resultant.
-
-    f is a list of integer coefficients, constant term first.
-    """
-    f = _tup_trim(f)
-    n = len(f) - 1
-    if n < 1 or f[-1] != 1:
-        raise NonMonic("discriminant requires a monic polynomial of degree >= 1")
-    if n == 1:
-        return 1
-    fp = [i * c for i, c in enumerate(f)][1:]
-    res = _resultant(list(f), fp)
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * res
-
-
-def _resultant(a, b):
-    a = list(_tup_trim(a))
-    b = list(_tup_trim(b))
-    da, db = len(a) - 1, len(b) - 1
-    if da < 0 or db < 0:
-        return 0
-    size = da + db
-    m = [[0] * size for _ in range(size)]
-    for i in range(db):
-        for j, c in enumerate(reversed(a)):
-            m[i][i + j] = c
-    for i in range(da):
-        for j, c in enumerate(reversed(b)):
-            m[db + i][i + j] = c
-    return int_adjugate(m)[0]

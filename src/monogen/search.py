@@ -7,10 +7,10 @@ for u = +-1 and t an integer multiple of 1.
 Every scan of a form, over Z or F_p, runs on one walk (_walk): the terms are
 compiled into per-coordinate transitions over plain coefficients, each line
 of the last coordinate becomes a univariate SparsePoly, and that line is
-evaluated once per point.  scan covers a full box.  projective_scan (one
-point per line through 0 of F_p^m) and search_monogenerators (half of the Z
-box) walk the same charts (_charts): the point 0, then the points whose
-first nonzero coordinate is the j-th, for j from last to first.
+evaluated once per point.  projective_scan (one point per line through 0 of
+F_p^m) and search_monogenerators (half of the Z box) walk the same charts
+(_charts): the point 0, then the points whose first nonzero coordinate is
+the j-th, for j from last to first.
 """
 
 from __future__ import annotations
@@ -27,19 +27,6 @@ from .indexform import IndexForm, index_form
 DEFAULT_ENUM_CAP = 10**7
 
 
-def scan(poly: SparsePoly, values, cap: int):
-    """Yield (v, poly(v)) for every v in values^m over the m variables poly uses.
-
-    The other coordinates of v stay 0, and points come in lexicographic
-    order.  Raises BudgetExceeded before the first evaluation when
-    len(values)^m exceeds cap.
-    """
-    used = poly.variables_used()
-    _check_budget(len(values), len(used), cap)
-    terms = _cut(poly.terms.items(), used)
-    yield from _walk(poly.base, terms, used, [values] * len(used), [0] * poly.arity)
-
-
 def projective_scan(poly: SparsePoly, p: int, cap: int):
     """Yield (v, poly(v)) for 0 and one point on each line through 0 of F_p^m.
 
@@ -48,7 +35,8 @@ def projective_scan(poly: SparsePoly, p: int, cap: int):
     used coordinate is 1, in lexicographic order; a homogeneous poly of
     degree d takes the value c^d * poly(v) at c*v.  A chart is built when
     the scan reaches it, so a caller that stops early pays for no later
-    chart.  Raises BudgetExceeded when p^m exceeds cap, as scan would.
+    chart.  Raises BudgetExceeded before the first evaluation when p^m
+    exceeds cap.
     """
     _check_budget(p, len(poly.variables_used()), cap)
     yield from _charts(poly, range(1, 2), range(p))

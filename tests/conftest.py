@@ -1,9 +1,14 @@
 import random
 from fractions import Fraction
+from itertools import product
+from operator import add
 
 import pytest
-from sympy import GF, Poly, Symbol
+from sympy import GF, Poly, Symbol, discriminant
+from sympy.polys.domains import ZZ as SZZ
 from sympy.polys.matrices import DomainMatrix
+from sympy.polys.orderings import grlex
+from sympy.polys.rings import ring
 
 from monogen.algebra import (
     OrderPresentation,
@@ -195,3 +200,90 @@ def sympy_gf_matrix(rows, p, ncols=None):
     K = GF(p)
     shape = (len(rows), len(rows[0]) if rows else ncols)
     return DomainMatrix([[K(x) for x in r] for r in rows], shape, K)
+
+
+def sympy_discriminant(coeffs):
+    """The discriminant of the polynomial with these coefficients (constant first)."""
+    return int(discriminant(Poly(list(coeffs)[::-1], Symbol("x"))))
+
+
+# Expected forms are built in sympy's sparse polynomial rings and compared
+# with SparsePoly.terms.  The ring's order, grlex, is the order of
+# SparsePoly.leading, so the sign of LC is the sign canonical_sign reads
+# over Z and F_p.
+
+
+def sympy_ring(base, arity):
+    """(ring, generators) for forms over base in x1, ..., x_arity, graded lex.
+
+    The coefficients are ZZ or GF(p); over Z[t] and F_p[t], t is one more
+    generator, the last.
+    """
+    names = [f"x{i + 1}" for i in range(arity)] + ["t"] * base.is_polynomial
+    R, *gens = ring(names, SZZ if base.p is None else GF(base.p), grlex)
+    return R, gens
+
+
+def form_terms(f, base):
+    """The terms of the sympy ring element f in SparsePoly's encoding over base.
+
+    Over Z[t] and F_p[t] the last exponent, that of t, is grouped into the
+    coefficient tuple of each monomial in x1, ..., xn.
+    """
+    if not base.is_polynomial:
+        return {e: base.coerce(int(c)) for e, c in f.terms()}
+    grouped = {}
+    for (*e, k), c in f.terms():
+        grouped.setdefault(tuple(e), {})[k] = int(c)
+    return {e: base.coerce([cs.get(k, 0) for k in range(max(cs) + 1)]) for e, cs in grouped.items()}
+
+
+def signed_terms(f, base):
+    """The terms of f and of -f: a form is fixed only up to sign."""
+    return form_terms(f, base), form_terms(-f, base)
+
+
+def difference_product(n, base=ZZ):
+    """The terms of the product of x_i - x_j over i < j, and of its negative."""
+    _, xs = sympy_ring(base, n)
+    out = 1
+    for i in range(n):
+        for j in range(i + 1, n):
+            out *= xs[i] - xs[j]
+    return signed_terms(out, base)
+
+
+def to_sympy(poly, R):
+    """The SparsePoly poly as an element of R = sympy_ring(poly.base, poly.arity)[0]."""
+    if not poly.base.is_polynomial:
+        return R.from_dict(dict(poly.terms))
+    return R.from_dict({(*e, k): x for e, c in poly.terms.items() for k, x in enumerate(c) if x})
+
+
+def naive_scan(poly, values):
+    """The reference scan: poly at every point of values^m, in lexicographic
+    order, over the m variables it uses; the others stay 0.
+
+    Term by term: a term's values on the grid are the outer product of the
+    columns x^e, one for each variable, times its coefficient; over Z and
+    F_p the terms are summed in plain ints and reduced once.
+    """
+    base, used, values = poly.base, poly.variables_used(), list(values)
+    grid = list(product(values, repeat=len(used)))
+    total = [base.zero] * len(grid)
+    for exps, c in poly.terms.items():
+        term = [1 if base.is_polynomial else c]
+        for i in used:
+            column = [x ** exps[i] for x in values]
+            term = [a * b for a in term for b in column]
+        if base.is_polynomial:
+            total = [base.add(s, base.mul(c, base.coerce(x))) for s, x in zip(total, term)]
+        else:
+            total = list(map(add, total, term))
+    points = []
+    for combo, s in zip(grid, total):
+        v = [0] * poly.arity
+        for i, x in zip(used, combo):
+            v[i] = x
+        points.append((tuple(v), base.coerce(s)))
+    return points

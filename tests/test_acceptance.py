@@ -13,7 +13,7 @@ import time
 
 from monogen.algebra import split_algebra
 from monogen.artin import decompose, fiber_monogenic
-from monogen.exactring import SparsePoly, ZZ, Fp, necklace_count
+from monogen.exactring import ZZ, Fp, necklace_count
 from monogen.indexform import index_form
 from monogen.localmono import (
     classify,
@@ -24,9 +24,17 @@ from monogen.localmono import (
 )
 from monogen.search import search_monogenerators
 from monogen.twisted import curve_twisted_constraint
-from conftest import dedekind_order, random_algebra, sympy_irreducible
-from test_indexform import _charpoly, difference_product
-from monogen.exactring import discriminant_unipoly
+from conftest import (
+    dedekind_order,
+    difference_product,
+    form_terms,
+    random_algebra,
+    signed_terms,
+    sympy_discriminant,
+    sympy_irreducible,
+    sympy_ring,
+)
+from test_indexform import _charpoly
 
 
 def criterion(num, desc):
@@ -57,14 +65,11 @@ def test_criterion_01():
     def body():
         alg = dedekind_order()
         form = index_form(alg)
-        b = SparsePoly.variable(ZZ, 3, 1)
-        c = SparsePoly.variable(ZZ, 3, 2)
-        k = lambda n: SparsePoly.constant(ZZ, 3, n)
-        expect = -(k(2) * b**3 + k(15) * b**2 * c + k(31) * b * c**2 + k(20) * c**3)
-        assert form.form in (expect, -expect)
-        b2 = SparsePoly.variable(Fp(2), 3, 1)
-        c2 = SparsePoly.variable(Fp(2), 3, 2)
-        assert form.reduce_mod_p(2) == b2**2 * c2 + b2 * c2**2
+        _, (a, b, c) = sympy_ring(ZZ, 3)
+        expect = -(2 * b**3 + 15 * b**2 * c + 31 * b * c**2 + 20 * c**3)
+        assert form.form.terms in signed_terms(expect, ZZ)
+        _, (a2, b2, c2) = sympy_ring(Fp(2), 3)
+        assert form.reduce_mod_p(2).terms == form_terms(b2**2 * c2 + b2 * c2**2, Fp(2))
         assert common_index_divisors(alg) == [2]
         assert geometric_point_verdict(alg)["monogenic_over_geometric_points"]
         assert classify(alg, 10).global_status == "NotMonogenic"
@@ -79,17 +84,9 @@ def test_criterion_02():
 
         alg, _ = load_fixture(corpus_dir() / "sqrt2_sqrt3.json")
         form = index_form(alg)
-        b = SparsePoly.variable(ZZ, 4, 1)
-        c = SparsePoly.variable(ZZ, 4, 2)
-        d = SparsePoly.variable(ZZ, 4, 3)
-        k = lambda n: SparsePoly.constant(ZZ, 4, n)
-        expect = (
-            k(-4)
-            * (k(2) * b**2 - k(3) * c**2)
-            * (b**2 - k(3) * d**2)
-            * (c**2 - k(2) * d**2)
-        )
-        assert form.form in (expect, -expect)
+        _, (a, b, c, d) = sympy_ring(ZZ, 4)
+        expect = -4 * (2 * b**2 - 3 * c**2) * (b**2 - 3 * d**2) * (c**2 - 2 * d**2)
+        assert form.form.terms in signed_terms(expect, ZZ)
         verdict = geometric_point_verdict(alg)
         assert verdict["vanishing_fiber_primes"] == {2}
         assert not verdict["monogenic_over_geometric_points"]
@@ -106,11 +103,8 @@ def test_criterion_03():
 
         alg, _ = load_fixture(corpus_dir() / "cbrt175.json")
         form = index_form(alg)
-        b = SparsePoly.variable(ZZ, 3, 1)
-        c = SparsePoly.variable(ZZ, 3, 2)
-        k = lambda n: SparsePoly.constant(ZZ, 3, n)
-        expect = k(5) * b**3 - k(7) * c**3
-        assert form.form in (expect, -expect)
+        _, (a, b, c) = sympy_ring(ZZ, 3)
+        assert form.form.terms in signed_terms(5 * b**3 - 7 * c**3, ZZ)
         assert common_index_divisors(alg) == []
         assert value_set_mod_p(form, 7) == {0, 2, 5}
         res = search_monogenerators(alg, 20)
@@ -124,8 +118,7 @@ def test_criterion_04():
     def body():
         for n in range(2, 7):
             form = index_form(split_algebra(n)).form
-            prod = difference_product(n)
-            assert form in (prod, -prod), n
+            assert form.terms in difference_product(n), n
 
     timed(body, 10.0)
 
@@ -174,7 +167,7 @@ def test_criterion_07(corpus_z, rng):
         idx = form.evaluate(v)
         if idx == 0:
             continue
-        assert discriminant_unipoly(_charpoly(alg, v)) == idx**2 * alg.discriminant()
+        assert sympy_discriminant(_charpoly(alg, v)) == idx**2 * alg.discriminant()
         done += 1
 
 

@@ -15,8 +15,7 @@ from monogen.localmono import (
     local_obstruction_primes,
     value_set_mod_p,
 )
-from monogen.search import scan
-from conftest import dedekind_order, gaussian_order, random_algebra, random_unimodular
+from conftest import dedekind_order, gaussian_order, naive_scan, random_algebra, random_unimodular
 
 
 def conductor_five_order():
@@ -243,8 +242,7 @@ class TestClassify:
 
 def full_scan(form, p):
     """Every point of F_p^m and the reduced form's value there."""
-    poly = form.reduce_mod_p(p)
-    return list(scan(poly, range(p), p ** len(poly.variables_used())))
+    return naive_scan(form.reduce_mod_p(p), range(p))
 
 
 @st.composite

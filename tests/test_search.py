@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -7,59 +7,57 @@ from monogen.errors import BudgetExceeded, IdentityNotInBasis
 from monogen.algebra import power_basis_algebra, split_algebra
 from monogen.exactring import ZZ, Fp, FpX, SparsePoly
 from monogen.indexform import IndexForm, check_monogenerator
-from monogen.search import affine_normalize, projective_scan, scan, search_monogenerators
-from conftest import gaussian_order
+from monogen.search import affine_normalize, projective_scan, search_monogenerators
+from conftest import gaussian_order, naive_scan
 
 
-def x0_squared_plus_x2():
+def x0_squared_plus_x2(base=ZZ):
     """x0^2 + x2 in three variables; x1 is unused."""
-    x0, x2 = (SparsePoly.variable(ZZ, 3, i) for i in (0, 2))
-    return x0 * x0 + x2
+    return SparsePoly(base, 3, {(2, 0, 0): base.one, (0, 0, 1): base.one})
+
+
+def on_charts(points):
+    """The points of a full scan that a projective scan visits: 0 and those
+    whose first nonzero coordinate is 1."""
+    return [(v, value) for v, value in points if leading_coordinate(v) in (None, 1)]
 
 
 class TestScan:
     def test_budget_before_first_evaluation(self, monkeypatch):
         calls = []
         monkeypatch.setattr(SparsePoly, "evaluate", lambda self, v: calls.append(v))
+        form = IndexForm("x0^2 + x2", 3, x0_squared_plus_x2())
         with pytest.raises(BudgetExceeded):
-            next(scan(x0_squared_plus_x2(), range(3), 8))
+            search_monogenerators(power_basis_algebra([0, 0, 0, 1]), 1, 8, form)
         assert calls == []
 
     def test_lexicographic_with_unused_at_zero(self):
-        points = list(scan(x0_squared_plus_x2(), range(-1, 2), 9))
-        assert [v for v, _ in points] == [(a, 0, c) for a in (-1, 0, 1) for c in (-1, 0, 1)]
-        assert [value for _, value in points] == [
-            a * a + c for a in (-1, 0, 1) for c in (-1, 0, 1)
-        ]
-
-
-def naive_scan(poly, values):
-    """The reference scan: the whole polynomial evaluated at every point."""
-    used = poly.variables_used()
-    points = []
-    for combo in product(values, repeat=len(used)):
-        v = [0] * poly.arity
-        for i, c in zip(used, combo):
-            v[i] = c
-        points.append((tuple(v), poly.evaluate(v)))
-    return points
+        points = list(projective_scan(x0_squared_plus_x2(Fp(3)), 3, 9))
+        assert [v for v, _ in points] == [(0, 0, 0), (0, 0, 1)] + [(1, 0, c) for c in range(3)]
+        assert [value for _, value in points] == [(a * a + c) % 3 for (a, _, c), _ in points]
 
 
 @st.composite
 def scan_cases(draw):
-    """A Z, F_p or F_p[t] polynomial, some of whose variables may be unused, and a value range."""
-    base = draw(st.sampled_from([ZZ, Fp(2), Fp(3), Fp(5), Fp(7), FpX(2), FpX(3), FpX(5)]))
+    """An F_p or F_p[t] polynomial and p, or a homogeneous Z polynomial of
+    degree 0-3 and a height 0-2; some variables may be unused."""
+    p = draw(st.sampled_from([0, 2, 3, 5, 7]))
     arity = draw(st.integers(1, 5))
     live = draw(st.lists(st.booleans(), min_size=arity, max_size=arity))
+    if not p:  # homogeneous, so that search_monogenerators may halve the box
+        live = [i for i, on in enumerate(live) if on] or [0]
+        degree = draw(st.integers(0, 3))
+        picks = st.lists(st.sampled_from(live), min_size=degree, max_size=degree)
+        exps = picks.map(lambda ix: tuple(ix.count(i) for i in range(arity)))
+        terms = draw(st.dictionaries(exps, st.integers(-2, 2), max_size=6))
+        return SparsePoly(ZZ, arity, terms), draw(st.integers(0, 2))
+    base = draw(st.sampled_from([Fp(p), FpX(p)]))
     exps = st.tuples(*[st.integers(0, 3) if on else st.just(0) for on in live])
     coeffs = st.integers(-20, 20)
     if base.is_polynomial:
         coeffs = st.lists(coeffs, min_size=1, max_size=3)
     terms = draw(st.dictionaries(exps, coeffs, max_size=6))
-    poly = SparsePoly(base, arity, {e: base.coerce(c) for e, c in terms.items()})
-    start = draw(st.integers(-3, 3))
-    values = range(start, start + draw(st.integers(0, 4)))
-    return poly, values
+    return SparsePoly(base, arity, {e: base.coerce(c) for e, c in terms.items()}), p
 
 
 def counting_evaluate(monkeypatch):
@@ -77,34 +75,41 @@ def counting_evaluate(monkeypatch):
 class TestLineScan:
     @settings(max_examples=300, deadline=None)
     @given(scan_cases())
-    @example((SparsePoly.zero(ZZ, 3), range(-2, 1)))
-    @example((SparsePoly.constant(Fp(5), 2, 7), range(1, 4)))
-    @example((SparsePoly.constant(ZZ, 2, -4), range(0)))
-    @example((SparsePoly(ZZ, 4, {(2, 0, 0, 1): 3, (0, 0, 0, 2): -1, (1, 0, 0, 0): 5}), range(-1, 3)))
-    @example((SparsePoly(Fp(3), 5, {(0, 2, 0, 1, 0): 2, (0, 0, 0, 0, 0): 1}), range(2, 6)))
-    @example((SparsePoly(FpX(3), 3, {(2, 0, 1): (1, 2), (0, 0, 3): (0, 1), (1, 0, 0): (2,)}), range(-1, 3)))
+    @example((SparsePoly(ZZ, 3), 2))
+    @example((SparsePoly.constant(Fp(5), 2, 7), 5))
+    @example((SparsePoly.constant(ZZ, 2, -1), 0))
+    @example((SparsePoly(ZZ, 4, {(2, 0, 0, 1): 1, (0, 0, 0, 3): -1, (1, 0, 0, 2): 2}), 2))
+    @example((SparsePoly(Fp(3), 5, {(0, 2, 0, 1, 0): 2, (0, 0, 0, 0, 0): 1}), 3))
+    @example((SparsePoly(FpX(3), 3, {(2, 0, 1): (1, 2), (0, 0, 3): (0, 1), (1, 0, 0): (2,)}), 3))
     def test_matches_naive_reference(self, case):
-        poly, values = case
-        cap = max(1, len(values)) ** poly.arity
-        assert list(scan(poly, values, cap)) == naive_scan(poly, values)
+        poly, k = case
+        m = len(poly.variables_used())
+        if poly.base.p:
+            assert list(projective_scan(poly, k, k**m)) == on_charts(naive_scan(poly, range(k)))
+            return
+        alg = power_basis_algebra([0] * poly.arity + [1])
+        res = search_monogenerators(alg, k, (2 * k + 1) ** m, IndexForm("random", poly.arity, poly))
+        full = naive_scan(poly, range(-k, k + 1))
+        assert res.witnesses == tuple(v for v, value in full if value in (1, -1))
 
     def test_first_point_makes_one_evaluation(self, monkeypatch):
+        # the first point of a line, after the zero point
         calls = counting_evaluate(monkeypatch)
-        poly = x0_squared_plus_x2() * x0_squared_plus_x2()
-        assert next(scan(poly, range(-3, 4), 49)) == ((-3, 0, -3), 36)
-        assert len(calls) == 1
+        poly = SparsePoly(Fp(7), 3, {(4, 0, 0): 1, (2, 0, 1): 2, (0, 0, 2): 1})  # (x0^2 + x2)^2
+        assert list(islice(projective_scan(poly, 7, 49), 2)) == [((0, 0, 0), 0), ((0, 0, 1), 1)]
+        assert len(calls) == 2
 
     def test_one_evaluation_per_point(self, monkeypatch):
         calls = counting_evaluate(monkeypatch)
-        points = list(scan(x0_squared_plus_x2(), range(4), 16))
-        assert len(calls) == len(points) == 16
+        points = list(projective_scan(x0_squared_plus_x2(Fp(5)), 5, 25))
+        assert len(calls) == len(points) == 1 + 1 + 5
 
     def test_stops_at_first_nonzero_value(self, monkeypatch):
         # is_monogenic_at_prime stops at the first nonzero value
         calls = counting_evaluate(monkeypatch)
         poly = SparsePoly(Fp(7), 3, {(1, 0, 1): 1})
-        first = next((v for v, value in scan(poly, range(7), 7**3) if value), None)
-        assert first == (1, 0, 1) and len(calls) == 7 + 2
+        first = next((v for v, value in projective_scan(poly, 7, 7**3) if value), None)
+        assert first == (1, 0, 1) and len(calls) == 1 + 1 + 2
 
 
 @st.composite
@@ -129,18 +134,16 @@ def leading_coordinate(v):
 class TestProjectiveScan:
     @settings(max_examples=200, deadline=None)
     @given(projective_cases())
-    @example((SparsePoly.zero(Fp(3), 2), 3))
+    @example((SparsePoly(Fp(3), 2), 3))
     @example((SparsePoly.constant(Fp(5), 3, 2), 5))
     @example((SparsePoly(Fp(3), 3, {(1, 0, 1): 1, (0, 1, 0): 2}), 3))
     def test_one_point_per_line(self, case):
         poly, p = case
         m = len(poly.variables_used())
         points = list(projective_scan(poly, p, p**m))
-        full = list(scan(poly, range(p), p**m))
         # exactly the points of the full scan whose first nonzero coordinate
         # is 1, in the same (lexicographic) order, with the same values
-        on_charts = [(v, value) for v, value in full if leading_coordinate(v) in (None, 1)]
-        assert points == on_charts
+        assert points == on_charts(naive_scan(poly, range(p)))
         assert points[0][0] == (0,) * poly.arity
         assert len(points) == 1 + (p**m - 1) // (p - 1)
 

@@ -1,9 +1,10 @@
 """Regenerate the fixture corpus.
 
 Every frozen expectation is asserted against an independent construction
-(product-form expansions, known discriminants, hand-checked witnesses)
-before being written, so a generator bug cannot silently freeze a wrong
-value.
+(product forms expanded in sympy, known discriminants, hand-checked
+witnesses) before being written, so a generator bug cannot silently freeze
+a wrong value.  sympy, a test dependency, is needed here; the runtime does
+not use it.
 
 Usage: python tools/gen_corpus.py  (imports monogen from this checkout's src/)
 """
@@ -13,10 +14,14 @@ import sys
 from fractions import Fraction as F
 from pathlib import Path
 
+from sympy.polys.domains import ZZ as SZZ
+from sympy.polys.orderings import grlex
+from sympy.polys.rings import ring
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from monogen.algebra import OrderPresentation, StructureAlgebra, power_basis_algebra, split_algebra
-from monogen.exactring import SparsePoly, ZX, ZZ
+from monogen.algebra import OrderPresentation, StructureAlgebra, split_algebra
+from monogen.exactring import ZX, ZZ
 from monogen.indexform import check_monogenerator, index_form
 from monogen import artin, localmono
 from monogen.search import search_monogenerators
@@ -25,12 +30,17 @@ OUT = Path(__file__).resolve().parent.parent / "src" / "monogen" / "corpus"
 OUT.mkdir(exist_ok=True)
 
 
-def var(n, i):
-    return SparsePoly.variable(ZZ, n, i)
+def generic(n):
+    """x1, ..., xn in sympy's Z[x1, ..., xn], in graded lex order like SparsePoly."""
+    return ring([f"x{i + 1}" for i in range(n)], SZZ, grlex)[1:]
 
 
-def const(n, c):
-    return SparsePoly.constant(ZZ, n, c)
+def assert_form(form, expect):
+    """form (a SparsePoly over Z) has the terms of the sympy polynomial expect,
+    signed as canonical_sign signs it: by the leading coefficient in graded lex."""
+    if expect.LC < 0:
+        expect = -expect
+    assert form.terms == {e: int(c) for e, c in expect.terms()}
 
 
 def artin_expected(alg, primes):
@@ -64,12 +74,8 @@ ded_pres = OrderPresentation(
 )
 ded = ded_pres.to_algebra("dedekind cubic order")
 f = index_form(ded)
-b, c = var(3, 1), var(3, 2)
-expect = (
-    const(3, 2) * b**3 + const(3, 15) * b * b * c
-    + const(3, 31) * b * c * c + const(3, 20) * c**3
-)
-assert f.form == expect.canonical_sign()
+_, b, c = generic(3)
+assert_form(f.form, 2 * b**3 + 15 * b**2 * c + 31 * b * c**2 + 20 * c**3)
 assert ded.discriminant() == -503
 mod2 = f.reduce_mod_p(2).canonical_sign()
 assert mod2.text() == "x2^2*x3 + x2*x3^2"
@@ -119,11 +125,11 @@ write("gaussian_integers", {
 for n in (2, 3):
     alg = split_algebra(n, f"split rank {n}")
     f = index_form(alg)
-    prod = const(n, 1)
+    xs, prod = generic(n), 1
     for i in range(n):
         for j in range(i + 1, n):
-            prod = prod * (var(n, i) - var(n, j))
-    assert f.form == prod.canonical_sign()
+            prod *= xs[i] - xs[j]
+    assert_form(f.form, prod)
     assert alg.discriminant() == 1
     cl = classify_expected(alg, 2)
     assert cl["status"] == ("Monogenic" if n == 2 else "NotMonogenic")
@@ -197,14 +203,8 @@ setc(2, 2, unit(0, 3)); setc(2, 3, unit(1, 3)); setc(3, 3, unit(0, 6))
 s23 = StructureAlgebra(ZZ, 4, cons, [1, 0, 0, 0], "Z[sqrt2,sqrt3]")
 assert s23.validate() == []
 f = index_form(s23)
-b, c, d = var(4, 1), var(4, 2), var(4, 3)
-prod = (
-    const(4, 4)
-    * (const(4, 2) * b * b - const(4, 3) * c * c)
-    * (b * b - const(4, 3) * d * d)
-    * (c * c - const(4, 2) * d * d)
-)
-assert f.form == prod.canonical_sign()
+_, b, c, d = generic(4)
+assert_form(f.form, 4 * (2 * b**2 - 3 * c**2) * (b**2 - 3 * d**2) * (c**2 - 2 * d**2))
 cl = classify_expected(s23, 3)
 assert cl["status"] == "NotMonogenic"
 write("sqrt2_sqrt3", {
