@@ -3,7 +3,6 @@
 from .exactring import (
     BaseRing,
     Fp,
-    FpX,
     SparsePoly,
     ZX,
     ZZ,

@@ -6,7 +6,9 @@ Z (int_adjugate: fraction-free, giving det and adjugate together), one
 over F_p (fp_rref, with fp_kernel on top), roots over F_p by Berlekamp's
 splitting (cost polynomial in log p, not a walk over F_p), and necklace
 counts.  A SparsePoly is a form to evaluate, reduce, sign and print; it has
-no ring arithmetic, since only determinant multiplies polynomials.
+no ring arithmetic, since only determinant multiplies polynomials.  All
+four bases carry algebras and their index forms; only Z reduces mod p, to
+F_p, so a point scan runs over Z or F_p and never over F_p[t].
 Univariate polynomials are dense tuples, constant term first, and the
 _tup_* helpers are their only arithmetic: over Z, or over F_p when given
 p; one loop, _tup_rem, reduces mod a monic f for division, gcds and powers.
@@ -30,6 +32,7 @@ from .errors import (
     MonogenError,
     NonMonic,
     NonSquare,
+    NotIntegerBase,
     SplitFailure,
     ZeroPolynomial,
 )
@@ -398,10 +401,6 @@ def Fp(p: int) -> BaseRing:
     return BaseRing("Fp", p)
 
 
-def FpX(p: int) -> BaseRing:
-    return BaseRing("FpX", p)
-
-
 # ---------------------------------------------------------------------------
 # sparse multivariate polynomials
 
@@ -504,12 +503,9 @@ class SparsePoly:
         return acc
 
     def reduce_mod_p(self, p: int) -> "SparsePoly":
-        """Map Z -> F_p or Z[t] -> F_p[t] coefficientwise."""
-        if self.base.p is not None:
-            raise BaseRingMismatch("reduction mod p needs an integral base")
-        if self.base.is_polynomial:
-            tgt = FpX(p)
-            return SparsePoly(tgt, self.arity, {e: tgt.coerce(c) for e, c in self.terms.items()})
+        """Map Z -> F_p coefficientwise; no other base is reduced."""
+        if self.base.kind != "Z":
+            raise NotIntegerBase("reduction mod p needs base Z")
         terms = {e: r for e, c in self.terms.items() if (r := c % p)}
         return SparsePoly._derived(Fp(p), self.arity, terms)
 
@@ -834,13 +830,13 @@ def berlekamp_factor(f, p: int):
         raise NonMonic("factorization requires a monic input")
     if len(f) > 2 and _tup_powmod((0, 1), p, f, p) != (0, 1):
         raise SplitFailure(
-            f"{FpX(p).format_elem(f, 'x')} has a repeated root or a root outside F_{p}"
+            f"{ZX.format_elem(f, 'x')} has a repeated root or a root outside F_{p}"
         )
     e = max((p - 1) // 2, 1)
     pieces, a = [f], 0
     while max(map(len, pieces)) > 2:
         if a == p:
-            raise SplitFailure(f"roots of {FpX(p).format_elem(f, 'x')} did not part at any a < {p}")
+            raise SplitFailure(f"roots of {ZX.format_elem(f, 'x')} did not part at any a < {p}")
         split = []
         for g in pieces:
             h = g

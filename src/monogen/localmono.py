@@ -1,8 +1,10 @@
 """Monogenicity at primes, Zariski-locally, and over geometric points.
 
-Brute-force side of the dual oracle: reduce the index form mod p and
-enumerate residue tuples.  The Artinian criterion in monogen.artin checks
-the same verdicts independently.
+Brute-force side of the dual oracle: reduce the index form, over Z, mod p
+and enumerate residue tuples of F_p^m.  The Artinian criterion in
+monogen.artin checks the same verdicts independently.  Value sets and local
+obstructions need a form over Z too: a point of a Z[t] form is a tuple over
+Z[t], so mod p it lies in F_p[t]^m, not F_p^m, and no scan covers it.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceeded, NotIntegerBase, ZeroIndexForm
-from .exactring import Fp, FpX, content_primes, is_prime
+from .exactring import content_primes, is_prime
 from .algebra import StructureAlgebra
 from .indexform import IndexForm, index_form
 from . import artin
@@ -20,7 +22,6 @@ from .search import (
     check_height,
     projective_scan,
     search_monogenerators,
-    stage,
 )
 from .twisted import base_Z_twisted_note
 
@@ -60,10 +61,9 @@ def is_monogenic_at_prime(
     _require_z(alg)
     if form is None:
         form = index_form(alg)
-    with stage(f"prime check mod {p}"):
-        for v, value in projective_scan(form.reduce_mod_p(p), p, cap):
-            if value != 0:
-                return LocalVerdict(p, True, v)
+    for v, value in projective_scan(form.reduce_mod_p(p), cap, f"prime check mod {p}"):
+        if value != 0:
+            return LocalVerdict(p, True, v)
     return LocalVerdict(p, False)
 
 
@@ -111,41 +111,39 @@ def geometric_point_verdict(
 
 
 def value_set_mod_p(form: IndexForm, p: int, cap: int = DEFAULT_ENUM_CAP):
-    """All values of the index form over F_p tuples.
+    """All values in F_p of an index form over Z at the points of F_p^m.
 
     The form is homogeneous of degree d, so on the line through v it takes
     the values c^d * F(v) for c in F_p^*: one point per line is evaluated,
-    and each value is scaled by the d-th powers in the base ring.
+    and each value is scaled by the d-th powers.  A form over Z[t] raises
+    NotIntegerBase before any point is scanned.
     """
-    poly = form.reduce_mod_p(p)
-    base = poly.base
-    powers = {base.coerce(pow(c, form.degree, p)) for c in range(1, p)}
-    with stage(f"value set mod {p}"):
-        values = {value for _, value in projective_scan(poly, p, cap)}
-    return {base.mul(a, u) for a in values for u in powers}
+    scan = projective_scan(form.reduce_mod_p(p), cap, f"value set mod {p}")
+    values = {value for _, value in scan}
+    powers = {pow(c, form.degree, p) for c in range(1, p)}
+    return {a * u % p for a in values for u in powers}
 
 
 def local_obstruction_primes(
     form: IndexForm, bound: int = OBSTRUCTION_BOUND, cap: int = DEFAULT_ENUM_CAP
 ):
-    """Primes p <= bound where the form never takes the values +-1 mod p.
+    """Primes p <= bound where the form, over Z, never takes the values +-1 mod p.
 
-    The values lie in F_p, or in F_p[t] for a form over Z[t].  Any such
-    prime rules out a global monogenerator even when no common index
-    divisor exists.  A value set beyond the cap raises BudgetExceeded, its
+    Any such prime rules out a global monogenerator even when no common
+    index divisor exists.  A form over Z[t] raises NotIntegerBase before any
+    point is scanned.  A value set beyond the cap raises BudgetExceeded, its
     ``found`` the primes found before it.
     """
-    fiber = FpX if form.form.base.is_polynomial else Fp
     out = []
     for p in range(2, bound + 1):
         if not is_prime(p):
             continue
         try:
-            base, vals = fiber(p), value_set_mod_p(form, p, cap)
+            vals = value_set_mod_p(form, p, cap)
         except BudgetExceeded as e:
             e.found = out
             raise
-        if base.one not in vals and base.neg(base.one) not in vals:
+        if 1 not in vals and p - 1 not in vals:
             out.append(p)
     return out
 

@@ -4,7 +4,8 @@ A coordinate vector v is a witness when the index form evaluates to +-1.
 Witnesses are grouped into affine-equivalence classes: theta ~ u*theta + t
 for u = +-1 and t an integer multiple of 1.
 
-Every scan of a form, over Z or F_p, runs on one walk (_walk): the terms are
+Every scan of a form, over Z or F_p, runs on one walk (_walk); no scan runs
+over F_p[t], since only a form over Z is reduced mod p.  The terms are
 compiled into per-coordinate transitions over plain coefficients, each line
 of the last coordinate becomes a univariate SparsePoly, and that line is
 evaluated once per point.  projective_scan (one point per line through 0 of
@@ -15,7 +16,6 @@ the j-th, for j from last to first.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -27,18 +27,19 @@ from .indexform import IndexForm, index_form
 DEFAULT_ENUM_CAP = 10**7
 
 
-def projective_scan(poly: SparsePoly, p: int, cap: int):
+def projective_scan(poly: SparsePoly, cap: int, name: str):
     """Yield (v, poly(v)) for 0 and one point on each line through 0 of F_p^m.
 
-    poly is over F_p or F_p[t] and m is the number of variables it uses; the
-    others stay 0.  After the zero point come the points whose first nonzero
-    used coordinate is 1, in lexicographic order; a homogeneous poly of
-    degree d takes the value c^d * poly(v) at c*v.  A chart is built when
-    the scan reaches it, so a caller that stops early pays for no later
-    chart.  Raises BudgetExceeded before the first evaluation when p^m
-    exceeds cap.
+    poly is over F_p, p = poly.base.p, and m is the number of variables it
+    uses; the others stay 0.  After the zero point come the points whose
+    first nonzero used coordinate is 1, in lexicographic order; a
+    homogeneous poly of degree d takes the value c^d * poly(v) at c*v.  A
+    chart is built when the scan reaches it, so a caller that stops early
+    pays for no later chart.  Raises BudgetExceeded, its message led by
+    name, before the first evaluation when p^m exceeds cap.
     """
-    _check_budget(p, len(poly.variables_used()), cap)
+    p = poly.base.p
+    _check_budget(p, len(poly.variables_used()), cap, name)
     yield from _charts(poly, range(1, 2), range(p))
 
 
@@ -80,9 +81,9 @@ def _walk(base, terms: dict, coords, ranges, point):
     order.  Level k holds one coefficient per distinct suffix (e_k, ...) of
     the exponent vectors, and setting coordinate k to x adds each one, times
     x^e_k, onto its suffix (e_{k+1}, ...): (source, destination, exponent)
-    transitions compiled once.  Coefficients are plain ints over Z and F_p,
-    reduced mod p once per line, and use base.add/base.mul over F_p[t].  The
-    last level is a univariate SparsePoly, the line, evaluated once per point.
+    transitions compiled once.  base is Z or F_p: coefficients are plain
+    ints, reduced mod p once per line.  The last level is a univariate
+    SparsePoly, the line, evaluated once per point.
     """
     m = len(coords)
     if not m:
@@ -96,35 +97,21 @@ def _walk(base, terms: dict, coords, ranges, point):
             transitions.append((s, index.setdefault(e[1:], len(index)), e[0]))
         nodes.append(list(index))
         steps.append((transitions, max((e[0] for e in nodes[k]), default=0)))
-    polynomial = base.is_polynomial
-    p = None if polynomial else base.p
+    p = base.p
 
     def lines(k, coeffs):
         if k == m - 1:
-            pairs = zip(nodes[k], coeffs)
-            if polynomial:
-                yield SparsePoly(base, 1, dict(pairs))
-            else:
-                line = {e: r for e, c in pairs if (r := c if p is None else c % p)}
-                yield SparsePoly._derived(base, 1, line)
+            line = {e: r for e, c in zip(nodes[k], coeffs) if (r := c if p is None else c % p)}
+            yield SparsePoly._derived(base, 1, line)
             return
         transitions, top = steps[k]
         width = len(nodes[k + 1])
         for x in ranges[k]:
             point[coords[k]] = x
-            if polynomial:
-                x = base.coerce(x)
-                powers = [base.one]
-                for _ in range(top):
-                    powers.append(base.mul(powers[-1], x))
-                nxt = [base.zero] * width
-                for s, d, e in transitions:
-                    nxt[d] = base.add(nxt[d], base.mul(coeffs[s], powers[e]))
-            else:
-                powers = [x**e for e in range(top + 1)]
-                nxt = [0] * width
-                for s, d, e in transitions:
-                    nxt[d] += coeffs[s] * powers[e]
+            powers = [x**e for e in range(top + 1)]
+            nxt = [0] * width
+            for s, d, e in transitions:
+                nxt[d] += coeffs[s] * powers[e]
             yield from lines(k + 1, nxt)
 
     last, values = coords[-1], ranges[-1]
@@ -134,18 +121,9 @@ def _walk(base, terms: dict, coords, ranges, point):
             yield tuple(point), line.evaluate((x,))
 
 
-def _check_budget(count: int, m: int, cap: int):
+def _check_budget(count: int, m: int, cap: int, name: str):
     if count**m > cap:
-        raise BudgetExceeded(f"{count}^{m} exceeds the enumeration cap {cap}")
-
-
-@contextmanager
-def stage(name: str):
-    """Prefix the message of a BudgetExceeded raised inside with name."""
-    try:
-        yield
-    except BudgetExceeded as e:
-        raise BudgetExceeded(f"{name}: {e}") from None
+        raise BudgetExceeded(f"{name}: {count}^{m} exceeds the enumeration cap {cap}")
 
 
 @dataclass(frozen=True)
@@ -189,8 +167,7 @@ def search_monogenerators(
         form = index_form(alg)
     poly = form.form
     values = range(-height, height + 1)
-    with stage(f"box search at height {height}"):
-        _check_budget(len(values), len(poly.variables_used()), cap)
+    _check_budget(len(values), len(poly.variables_used()), cap, f"box search at height {height}")
     found = [v for v, value in _charts(poly, range(1, height + 1), values) if value in (1, -1)]
     witnesses = sorted(found + [tuple(-c for c in w) for w in found if any(w)])
     ident = alg.identity_basis_index()

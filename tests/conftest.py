@@ -261,25 +261,22 @@ def to_sympy(poly, R):
 
 
 def naive_scan(poly, values):
-    """The reference scan: poly at every point of values^m, in lexicographic
-    order, over the m variables it uses; the others stay 0.
+    """The reference scan: poly, over Z or F_p, at every point of values^m,
+    in lexicographic order, over the m variables it uses; the others stay 0.
 
     Term by term: a term's values on the grid are the outer product of the
-    columns x^e, one for each variable, times its coefficient; over Z and
-    F_p the terms are summed in plain ints and reduced once.
+    columns x^e, one for each variable, times its coefficient; the terms
+    are summed in plain ints and reduced once.
     """
     base, used, values = poly.base, poly.variables_used(), list(values)
     grid = list(product(values, repeat=len(used)))
-    total = [base.zero] * len(grid)
+    total = [0] * len(grid)
     for exps, c in poly.terms.items():
-        term = [1 if base.is_polynomial else c]
+        term = [c]
         for i in used:
             column = [x ** exps[i] for x in values]
             term = [a * b for a in term for b in column]
-        if base.is_polynomial:
-            total = [base.add(s, base.mul(c, base.coerce(x))) for s, x in zip(total, term)]
-        else:
-            total = list(map(add, total, term))
+        total = list(map(add, total, term))
     points = []
     for combo, s in zip(grid, total):
         v = [0] * poly.arity

@@ -18,7 +18,7 @@ from monogen.algebra import (
     power_basis_algebra,
     split_algebra,
 )
-from monogen.exactring import Fp, FpX, ZX, ZZ, int_adjugate
+from monogen.exactring import BaseRing, Fp, ZX, ZZ, int_adjugate
 from conftest import (
     change_basis,
     dedekind_order,
@@ -181,7 +181,7 @@ class TestIntegerOrders:
         assert dedekind_order().rank == 3
 
 
-FOUR_BASES = [ZZ, Fp(2), Fp(3), Fp(7), ZX, FpX(5)]
+FOUR_BASES = [ZZ, Fp(2), Fp(3), Fp(7), ZX, BaseRing("FpX", 5)]
 
 
 def elements(base):

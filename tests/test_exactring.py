@@ -27,7 +27,6 @@ from monogen.errors import (
 from monogen.exactring import (
     BaseRing,
     Fp,
-    FpX,
     SparsePoly,
     ZX,
     ZZ,
@@ -59,6 +58,9 @@ from conftest import (
     sympy_ring,
     to_sympy,
 )
+
+# F_5[t]
+F5X = BaseRing("FpX", 5)
 
 
 def v(i, arity=3, base=ZZ):
@@ -121,7 +123,7 @@ def _random_poly(rng, arity, base=ZZ):
     return SparsePoly(base, arity, terms)
 
 
-PLAN_BASES = [ZZ, Fp(7), ZX, FpX(5)]
+PLAN_BASES = [ZZ, Fp(7), ZX, F5X]
 PLAN_IDS = ["Z", "F7", "ZX", "F5X"]
 
 
@@ -215,7 +217,7 @@ class TestDeterminant:
 def poly_matrices(draw):
     """Square matrix (n <= 5) of polynomials in 1..4 variables, exponents up to 10,
     over Z, F_7, Z[t] or F_5[t], with zero entries, and a seeded rng for points."""
-    base = draw(st.sampled_from([ZZ, Fp(7), ZX, FpX(5)]))
+    base = draw(st.sampled_from([ZZ, Fp(7), ZX, F5X]))
     n, arity = draw(st.integers(1, 5)), draw(st.integers(1, 4))
     if base.is_polynomial:
         coeff = st.lists(st.integers(-3, 3), max_size=3)
@@ -258,7 +260,7 @@ class TestPackedDeterminant:
             else:
                 assert got % base.p == want % base.p
 
-    @pytest.mark.parametrize("base", [ZZ, Fp(7), ZX, FpX(5)], ids=["Z", "F7", "ZX", "F5X"])
+    @pytest.mark.parametrize("base", [ZZ, Fp(7), ZX, F5X], ids=["Z", "F7", "ZX", "F5X"])
     @pytest.mark.parametrize("top", [15, 16])
     def test_exponents_at_a_power_of_two_field_boundary(self, base, top):
         # row maxima 8 and top - 8 sum to top: the field is 4 bits wide at
@@ -287,7 +289,7 @@ def leibniz_cases(draw):
     """Square matrix (n <= 5) over Z, F_p, Z[t] or F_p[t] in 1..3 variables,
     with rows all homogeneous or not, zero entries, zero rows and
     coefficients of either sign up to 2^40."""
-    base = draw(st.sampled_from([ZZ, Fp(7), Fp(2**31 - 1), ZX, FpX(5)]))
+    base = draw(st.sampled_from([ZZ, Fp(7), Fp(2**31 - 1), ZX, F5X]))
     n, arity = draw(st.integers(1, 5)), draw(st.integers(1, 3))
     homogeneous = draw(st.booleans())
     big = st.integers(-(2**40), 2**40)
@@ -669,7 +671,7 @@ class TestTupGcd:
         assert _tup_gcd(a, (0, 0), p) == a
 
 
-BASES = [ZZ, Fp(5), ZX, FpX(5)]
+BASES = [ZZ, Fp(5), ZX, F5X]
 BASE_IDS = ["Z", "F5", "ZX", "F5X"]
 T = 2**64  # a Z[t] element with coefficients below 2^63 is determined by its value at T
 
@@ -693,7 +695,7 @@ def _elements(base):
 class TestBaseRing:
     @pytest.mark.parametrize("base", BASES, ids=BASE_IDS)
     def test_coerce_ints_and_lists(self, base):
-        want = {ZZ: -7, Fp(5): 3, ZX: (-7,), FpX(5): (3,)}[base]
+        want = {ZZ: -7, Fp(5): 3, ZX: (-7,), F5X: (3,)}[base]
         assert base.coerce(-7) == want
         zero, one = ((), (1,)) if base.is_polynomial else (0, 1)
         assert base.coerce(0) == base.zero == zero and base.one == one
@@ -739,7 +741,7 @@ class TestBaseRing:
             (ZZ, [1, -1], [0, 2, -2, 5]),
             (Fp(5), [1, 2, 3, 4], [0]),
             (ZX, [(1,), (-1,)], [(), (2,), (0, 1), (1, 1), (-1, 0, 1)]),
-            (FpX(5), [(1,), (2,), (4,)], [(), (0, 1), (1, 1), (3, 0, 2)]),
+            (F5X, [(1,), (2,), (4,)], [(), (0, 1), (1, 1), (3, 0, 2)]),
         ],
         ids=BASE_IDS,
     )
@@ -753,7 +755,7 @@ class TestBaseRing:
             (ZZ, [-1, -7], [0, 1, 7]),
             (Fp(5), [3, 4], [0, 1, 2]),
             (ZX, [(-1,), (5, -2), (0, 0, -1)], [(), (1,), (-5, 2), (-3, 0, 1)]),
-            (FpX(5), [(3,), (0, 4), (1, 1, 3)], [(), (2,), (4, 2), (3, 3, 1)]),
+            (F5X, [(3,), (0, 4), (1, 1, 3)], [(), (2,), (4, 2), (3, 3, 1)]),
         ],
         ids=BASE_IDS,
     )
@@ -772,8 +774,8 @@ class TestBaseRing:
             (ZX, (0, 1, -1), [0, 1, -1], "-t^2 + t"),
             (ZX, (-3, 0, 1), [-3, 0, 1], "t^2 - 3"),
             (ZX, (-1, 3, 0, 1), [-1, 3, 0, 1], "t^3 + 3*t - 1"),
-            (FpX(5), (4, 0, 1), [4, 0, 1], "t^2 + 4"),
-            (FpX(5), (0, 2), [0, 2], "2*t"),
+            (F5X, (4, 0, 1), [4, 0, 1], "t^2 + 4"),
+            (F5X, (0, 2), [0, 2], "2*t"),
         ],
     )
     def test_json_and_text(self, base, elem, json, text):
@@ -786,9 +788,9 @@ class TestBaseRing:
         for base in BASES:
             assert BaseRing.from_json(base.to_json()) == base
             assert hash(BaseRing(base.kind, base.p)) == hash(base)
-        assert ZZ != Fp(5) and FpX(5) != FpX(7) and ZX != FpX(5)
-        assert ZZ.to_json() == {"kind": "Z"} and FpX(5).to_json() == {"kind": "FpX", "p": 5}
-        assert repr(FpX(5)) == "BaseRing(FpX, p=5)" and repr(ZX) == "BaseRing(ZX)"
+        assert ZZ != Fp(5) and F5X != BaseRing("FpX", 7) and ZX != F5X
+        assert ZZ.to_json() == {"kind": "Z"} and F5X.to_json() == {"kind": "FpX", "p": 5}
+        assert repr(F5X) == "BaseRing(FpX, p=5)" and repr(ZX) == "BaseRing(ZX)"
 
 
 class TestNecklaceCount:

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from sympy import Poly, discriminant, primefactors, symbols
@@ -5,7 +7,8 @@ from sympy import Poly, discriminant, primefactors, symbols
 from monogen.errors import BudgetExceeded, NotIntegerBase, ZeroIndexForm
 from monogen import artin
 from monogen.algebra import OrderPresentation, StructureAlgebra, power_basis_algebra, split_algebra
-from monogen.exactring import ZZ
+from monogen.exactring import ZZ, SparsePoly
+from monogen.fixtures import corpus_dir, parse_input
 from monogen.indexform import check_monogenerator, index_form
 from monogen.localmono import (
     classify,
@@ -16,6 +19,13 @@ from monogen.localmono import (
     value_set_mod_p,
 )
 from conftest import dedekind_order, gaussian_order, naive_scan, random_algebra, random_unimodular
+
+
+ZT_CHARTS = [
+    corpus_dir() / "elliptic_chart.json",
+    corpus_dir() / "p1_squaring_chart.json",
+    Path(__file__).with_name("dual_numbers_zt_chart.json"),
+]
 
 
 def conductor_five_order():
@@ -124,19 +134,29 @@ class TestValueSets:
     def test_gaussian_no_obstruction(self):
         assert local_obstruction_primes(index_form(gaussian_order())) == []
 
-    @pytest.mark.parametrize("p", [2, 3, 5])
-    @pytest.mark.parametrize("name", ["elliptic_chart", "p1_squaring_chart"])
-    def test_base_zt_matches_full_scan(self, corpus, name, p):
-        # the values lie in F_p[t], so the d-th powers scale them in that ring
-        alg = next(a for n, a, _ in corpus if n == name)
+    @pytest.mark.parametrize("path", ZT_CHARTS, ids=lambda path: path.stem)
+    def test_base_zt_refused_before_any_point(self, path, monkeypatch):
+        # mod p a point of a Z[t] form lies in F_p[t]^m, not F_p^m: a scan of
+        # F_p^m drew obstructions at every prime up to 23 on the dual-numbers
+        # chart, which (1, 1 - t) generates
+        alg = parse_input(path)
+        if path.stem == "dual_numbers_zt_chart":
+            assert check_monogenerator(alg, [[1], [1, -1]])["is_monogenerator"]
         form = index_form(alg)
-        assert value_set_mod_p(form, p) == {value for _, value in full_scan(form, p)}
+        calls = []
+        monkeypatch.setattr(SparsePoly, "evaluate", lambda self, v: calls.append(v))
+        with pytest.raises(NotIntegerBase):
+            value_set_mod_p(form, 2)
+        with pytest.raises(NotIntegerBase):
+            local_obstruction_primes(form)
+        assert calls == []
 
-    @pytest.mark.parametrize("name", ["elliptic_chart", "p1_squaring_chart"])
-    def test_base_zt_obstruction_tests_units_of_fp_t(self, corpus, name):
-        # both forms take the value 1 at x2 = 1, x3 = 0, so no prime obstructs
-        alg = next(a for n, a, _ in corpus if n == name)
-        assert local_obstruction_primes(index_form(alg), bound=13) == []
+    def test_minus_one_alone_is_no_obstruction(self):
+        # theta^4 = 3*theta^3 + 3*theta^2 + 3*theta: mod 3 the form of
+        # Z + 5*Z[theta] takes the unit -1 but never 1
+        form = index_form(conductor_order([0, -3, -3, -3, 1], 5)[0])
+        assert value_set_mod_p(form, 3) == {0, 2}
+        assert local_obstruction_primes(form, bound=3) == []
 
     def test_budget_names_the_stage(self):
         form = index_form(dedekind_order())

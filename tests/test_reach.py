@@ -10,8 +10,13 @@ until it leaves the list.
 
 Run from the root of a checkout as `PYTHONPATH=src python tests/test_reach.py`,
 it prints the unreached functions as a JSON list.
+
+unreached_lines runs the same cases under a line tracer and returns the
+executable lines no case runs.  It is a report, not a gate: most of those
+lines are error branches that stay.
 """
 
+import importlib.util
 import io
 import json
 import os
@@ -35,8 +40,6 @@ UNREACHED = {
     "exactring.SparsePoly.__repr__",
     # BaseRing defines __eq__, so it needs __hash__ to stay hashable
     "exactring.BaseRing.__hash__",
-    # the fibers of a Z[t] algebra: commands reduce only Z orders mod p
-    "exactring.FpX",
     # the index form of a rank-1 algebra
     "exactring.SparsePoly.constant",
 }
@@ -87,6 +90,18 @@ def pinned_invocations(corpus_files):
     return cases
 
 
+def run_pinned_cases():
+    """Import monogen and run every pinned case through cli.main, output discarded."""
+    import monogen
+    from monogen import cli
+    from monogen.fixtures import corpus_files
+
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        for argv in pinned_invocations(corpus_files):
+            cli.main(argv)
+    return monogen
+
+
 def unreached_functions():
     """Import monogen and run every pinned case under a profile hook; return
     the sorted names of the functions that were never entered."""
@@ -97,33 +112,93 @@ def unreached_functions():
             code = frame.f_code
             reached.add((code.co_filename, code.co_firstlineno, code.co_name))
 
-    sink = io.StringIO()
     sys.setprofile(hook)
     try:
-        import monogen
-        from monogen import cli
-        from monogen.fixtures import corpus_files
-
-        with redirect_stdout(sink), redirect_stderr(sink):
-            for argv in pinned_invocations(corpus_files):
-                cli.main(argv)
+        monogen = run_pinned_cases()
     finally:
         sys.setprofile(None)
     return sorted(name for key, name in library_functions(monogen).items() if key not in reached)
 
 
-def test_only_the_listed_functions_are_unreached():
+def _code_lines(code, out):
+    """Add the line numbers that code and the code nested in it execute.
+
+    Line 0 holds a module's entry instruction, which no line event reports.
+    """
+    out.update(line for _, _, line in code.co_lines() if line)
+    for const in code.co_consts:
+        if hasattr(const, "co_code"):
+            _code_lines(const, out)
+
+
+def unreached_lines():
+    """Import monogen and run every pinned case under a line tracer; return
+    {module: sorted executable lines no case ran}, for each module of the
+    package that has any."""
+    folder = os.path.dirname(importlib.util.find_spec("monogen").origin)
+    ran = set()
+
+    def lines(frame, event, arg):
+        if event == "line":
+            ran.add((frame.f_code.co_filename, frame.f_lineno))
+        return lines
+
+    def calls(frame, event, arg):  # line events only in the package's own frames
+        return lines if os.path.dirname(frame.f_code.co_filename) == folder else None
+
+    sys.settrace(calls)
+    try:
+        run_pinned_cases()
+    finally:
+        sys.settrace(None)
+    out = {}
+    for path in sorted(Path(folder).glob("*.py")):
+        filename = os.path.join(folder, path.name)
+        executable = set()
+        _code_lines(compile(path.read_text(encoding="utf-8"), filename, "exec"), executable)
+        missed = sorted(line for line in executable if (filename, line) not in ran)
+        if missed:
+            out[path.stem] = missed
+    return out
+
+
+def in_child(*args):
+    """The JSON that a fresh interpreter prints, given args after its executable.
+
+    The child imports the monogen under test, with nothing imported before
+    the hook.
+    """
     import monogen
 
-    # the child imports the monogen under test, with nothing imported before the hook
     src = str(Path(monogen.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    tests = str(ROOT / "tests")
+    path = os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run(
-        [sys.executable, __file__], cwd=ROOT, env=env, capture_output=True, text=True
+        [sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    assert set(json.loads(proc.stdout)) == UNREACHED
+    return json.loads(proc.stdout)
+
+
+def test_only_the_listed_functions_are_unreached():
+    assert set(in_child(__file__)) == UNREACHED
+
+
+def test_line_report_lists_the_lines_no_case_runs():
+    from monogen.algebra import split_algebra
+    from monogen.search import _check_budget
+
+    run = "import json, test_reach; print(json.dumps(test_reach.unreached_lines()))"
+    report = in_child("-c", run)
+
+    def body(function):  # the def line runs with the code that defines the function
+        code = function.__code__
+        return {line for _, _, line in code.co_lines() if line} - {code.co_firstlineno}
+
+    # no pinned case builds a split algebra; the budget cases raise in _check_budget
+    assert body(split_algebra) <= set(report["algebra"])
+    assert not body(_check_budget) & set(report["search"])
 
 
 if __name__ == "__main__":
