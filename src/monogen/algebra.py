@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .errors import (
     InvalidAlgebra,
@@ -33,8 +34,8 @@ from .exactring import (
     BaseRing,
     Fp,
     ZZ,
-    _tup_divmod,
     _tup_mul,
+    _tup_rem,
     int_adjugate,
     is_prime,
 )
@@ -50,34 +51,15 @@ class StructureAlgebra:
     form of the multiplication.  The constructor raises ValidationError,
     listing every violated axiom, unless the table is commutative and
     associative with the given 1.
-    Algebras that are rings by construction skip the check: orders come
-    from ``_derived``, and reductions mod p from ``reduce_mod_p``.
+    Algebras that are rings by construction skip the coercion and the
+    check: orders and reductions mod p hand their table to ``_derived``.
     """
 
     __slots__ = ("base", "rank", "table", "identity", "label", "_units")
 
     def __init__(self, base: BaseRing, rank: int, constants, identity, label: str = ""):
-        self._fill(base, rank, constants, identity, label)
-        violations = self.validate()
-        if violations:
-            raise ValidationError(violations)
-
-    @classmethod
-    def _derived(cls, base, rank, constants, identity, label):
-        """An algebra known to be a ring, built without the axiom check.
-
-        An order is a subring of Q[x]/(f); reductions mod p come from
-        reduce_mod_p.
-        """
-        alg = cls.__new__(cls)
-        alg._fill(base, rank, constants, identity, label)
-        return alg
-
-    def _fill(self, base, rank, constants, identity, label):
         if type(rank) is not int or not 1 <= rank <= RANK_CAP:  # a JSON true is no rank
             raise InvalidAlgebra(f"rank must be in 1..{RANK_CAP}, got {rank!r}")
-        self.base = base
-        self.rank = rank
         constants = tuple(
             tuple(tuple(base.coerce(c) for c in row) for row in plane)
             for plane in constants
@@ -87,16 +69,39 @@ class StructureAlgebra:
             for plane in constants
         ):
             raise InvalidAlgebra("structure constants must form an n x n x n array")
-        self.identity = tuple(base.coerce(u) for u in identity)
-        if len(self.identity) != rank:
+        identity = tuple(base.coerce(u) for u in identity)
+        if len(identity) != rank:
             raise InvalidAlgebra("identity coordinates must have length n")
-        self.label = label
-        zeros, one = (base.zero,) * rank, (base.one,)
-        self._units = tuple(zeros[:i] + one + zeros[i + 1:] for i in range(rank))
-        self.table = tuple(
+        table = tuple(
             tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in plane)
             for plane in constants
         )
+        self._fill(base, rank, table, identity, label)
+        violations = self.validate()
+        if violations:
+            raise ValidationError(violations)
+
+    @classmethod
+    def _derived(cls, base, rank, table, identity, label):
+        """An algebra known to be a ring, built from its sparse table as given.
+
+        The table and the identity tuple must already hold elements of base:
+        nothing is coerced and no axiom is checked.  Orders come from
+        OrderPresentation.to_algebra, reductions mod p from reduce_mod_p.
+        """
+        alg = cls.__new__(cls)
+        alg._fill(base, rank, table, identity, label)
+        return alg
+
+    def _fill(self, base, rank, table, identity, label):
+        self.base, self.rank, self.table, self.identity, self.label = base, rank, table, identity, label
+        zero, one = base.zero, base.one
+        row, units = [zero] * rank, []
+        for i in range(rank):  # every reduction mod p builds these, so no slicing
+            row[i] = one
+            units.append(tuple(row))
+            row[i] = zero
+        self._units = tuple(units)
 
     @property
     def constants(self):
@@ -210,18 +215,16 @@ class StructureAlgebra:
             raise NotIntegerBase("reduction mod p needs base Z")
         if not is_prime(p):
             raise MonogenError(f"{p} is not prime")
-        red = StructureAlgebra.__new__(StructureAlgebra)
-        red.base, red.rank, red.label = Fp(p), self.rank, f"{self.label} mod {p}"
-        red.identity = tuple([u % p for u in self.identity])
-        red._units = self._units  # 0 and 1 in Z are 0 and 1 in F_p
         # c[i][j] = c[j][i], so each row is reduced once, for i <= j
         n = self.rank
         table = [[None] * n for _ in range(n)]
         for i, sparse in enumerate(self.table):
             for j in range(i, n):
                 table[i][j] = table[j][i] = tuple([(k, r) for k, c in sparse[j] if (r := c % p)])
-        red.table = tuple(map(tuple, table))
-        return red
+        identity = tuple([u % p for u in self.identity])
+        return StructureAlgebra._derived(
+            Fp(p), n, tuple(map(tuple, table)), identity, f"{self.label} mod {p}"
+        )
 
     def discriminant(self) -> int:
         """det of the trace-pairing Gram matrix Tr(e_i e_j); base Z only.
@@ -286,16 +289,19 @@ class OrderPresentation:
             raise SingularBasisMatrix("basis matrix must be n x n")
 
     def to_algebra(self, label: str = "") -> StructureAlgebra:
-        """Structure constants of the module spanned by the basis rows.
+        """The algebra of the module spanned by the basis rows, as a sparse table.
 
         With the basis as M/D, M an integer matrix, b_i*b_j has coordinates
         P*adj(M)/(D*det M), where P = M_i*M_j mod f in integers; det M and
-        adj M come from one int_adjugate pass.  Raises SingularBasisMatrix
-        when det M == 0, and NotClosedUnderMultiplication if a coordinate of
-        a product, or of 1, is not an integer; otherwise the span is a
-        subring of Q[x]/(f), a ring.
+        adj M come from one int_adjugate pass.  The nonzero coordinates of
+        each product form its row of the table, which goes to
+        StructureAlgebra._derived with no dense constants and no coercion.
+        Raises SingularBasisMatrix when det M == 0, and
+        NotClosedUnderMultiplication if a coordinate of a product, or of 1,
+        is not an integer; otherwise the span is a subring of Q[x]/(f), a
+        ring, and no axiom is checked.
         """
-        n = self.n
+        n, low = self.n, self.minpoly[:-1]
         D = lcm(*(x.denominator for row in self.basis for x in row))
         M = [[x.numerator * (D // x.denominator) for x in row] for row in self.basis]
         det, adj = int_adjugate(M)
@@ -305,23 +311,30 @@ class OrderPresentation:
 
         def coordinates(P):
             """Each coordinate of P/D^2, power basis, times D*det M."""
-            return [sum(a * b for a, b in zip(P, col)) for col in adj_columns]
+            return [sum(map(mul, P, col)) for col in adj_columns]
 
-        constants = [[None] * n for _ in range(n)]
+        table = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                coords = coordinates(_tup_divmod(_tup_mul(M[i], M[j]), self.minpoly)[1])
-                for k, c in enumerate(coords):
-                    if c % scale:
+                P = list(_tup_mul(M[i], M[j]))
+                _tup_rem(P, low)
+                row = []
+                for k, c in enumerate(coordinates(P)):
+                    q, r = divmod(c, scale)
+                    if r:
                         raise NotClosedUnderMultiplication(
                             f"product b{i + 1}*b{j + 1} has non-integral coordinate "
                             f"{Fraction(c, scale)} on basis element {k + 1}"
                         )
-                constants[i][j] = constants[j][i] = [c // scale for c in coords]
+                    if q:
+                        row.append((k, q))
+                table[i][j] = table[j][i] = tuple(row)
         identity = coordinates((D * D,))
         if any(c % scale for c in identity):
             raise NotClosedUnderMultiplication("1 is not in the integer span of the basis")
-        return StructureAlgebra._derived(ZZ, n, constants, [c // scale for c in identity], label)
+        return StructureAlgebra._derived(
+            ZZ, n, tuple(map(tuple, table)), tuple([c // scale for c in identity]), label
+        )
 
     def to_json(self):
         return {

@@ -17,7 +17,7 @@ index-form enumeration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import mul
 
 from .errors import InvalidAlgebra, SplitFailure
@@ -29,14 +29,10 @@ from .algebra import StructureAlgebra
 # decomposition data
 
 
-@dataclass(frozen=True)
-class LocalFactor:
+class LocalFactor(namedtuple("LocalFactor", "dimension residue_degree tangent_dim nilpotency_index")):
     """One local Artinian factor of the fiber algebra."""
 
-    dimension: int
-    residue_degree: int
-    tangent_dim: int
-    nilpotency_index: int
+    __slots__ = ()
 
     def to_json(self):
         return {
@@ -47,11 +43,8 @@ class LocalFactor:
         }
 
 
-@dataclass(frozen=True)
-class ArtinDecomposition:
-    prime: int
-    factors: tuple
-    idempotents: tuple
+class ArtinDecomposition(namedtuple("ArtinDecomposition", "prime factors idempotents")):
+    __slots__ = ()
 
     def to_json(self):
         return {

@@ -544,7 +544,7 @@ class SparsePoly:
             neg = base.is_negative(c) and base.p is None
             cc = base.neg(c) if neg else c
             cs = base.format_elem(cc)
-            if base.is_polynomial and len(cc) > 1 and mono:
+            if base.is_polynomial and sum(map(bool, cc)) > 1 and mono:  # a sum of terms
                 cs = f"({cs})"
             body = cs if not mono else (mono if cs == "1" else f"{cs}*{mono}")
             chunks.append(("-" if neg else "+", body))

@@ -8,7 +8,6 @@ every expectation and reports one pass/fail row per check.
 from __future__ import annotations
 
 import json
-from importlib import resources
 from pathlib import Path
 
 from .errors import MonogenError, ParseError
@@ -57,7 +56,7 @@ def parse_input(path) -> StructureAlgebra:
 
 
 def corpus_dir() -> Path:
-    return Path(resources.files("monogen") / "corpus")
+    return Path(__file__).parent / "corpus"
 
 
 def corpus_files():

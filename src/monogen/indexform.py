@@ -9,7 +9,7 @@ evaluates to a unit at v.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InvalidAlgebra, LengthMismatch
 from .exactring import SparsePoly, _int_mul_into, determinant
@@ -94,13 +94,10 @@ def matrix_of_coefficients(alg: StructureAlgebra):
     return [[unpacked(f) for f in r] for r in rows]
 
 
-@dataclass(frozen=True)
-class IndexForm:
-    """Sign-normalized index form of an algebra with a chosen basis."""
+class IndexForm(namedtuple("IndexForm", "label rank form")):
+    """Sign-normalized index form of an algebra with a chosen basis; form is a SparsePoly."""
 
-    label: str
-    rank: int
-    form: SparsePoly
+    __slots__ = ()
 
     @property
     def degree(self) -> int:

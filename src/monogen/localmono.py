@@ -9,7 +9,7 @@ Z[t], so mod p it lies in F_p[t]^m, not F_p^m, and no scan covers it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import BudgetExceeded, NotIntegerBase, ZeroIndexForm
 from .exactring import content_primes, is_prime
@@ -18,7 +18,6 @@ from .indexform import IndexForm, index_form
 from . import artin
 from .search import (
     DEFAULT_ENUM_CAP,
-    SearchResult,
     check_height,
     projective_scan,
     search_monogenerators,
@@ -31,11 +30,10 @@ CROSSCHECK_BOUND = 7
 OBSTRUCTION_BOUND = 25
 
 
-@dataclass(frozen=True)
-class LocalVerdict:
-    prime: int
-    monogenic_at_p: bool
-    witness: tuple | None = None
+class LocalVerdict(namedtuple("LocalVerdict", "prime monogenic_at_p witness", defaults=(None,))):
+    """witness is the first point where the form is nonzero mod p, or None."""
+
+    __slots__ = ()
 
     def to_json(self):
         d = {"p": self.prime, "monogenic_at_p": self.monogenic_at_p}
@@ -148,21 +146,17 @@ def local_obstruction_primes(
     return out
 
 
-@dataclass
-class MonogenicityReport:
-    label: str
-    rank: int
-    global_status: str  # Monogenic | NotMonogenic | Unknown
-    zariski_local: bool
-    common_index_divisors: list
-    geometric: bool
-    vanishing_fibers: list
-    primes: list
-    artin_crosscheck: list
-    search: SearchResult | None = None
-    witness: tuple | None = None
-    reason: str | None = None
-    notes: list = field(default_factory=list)
+class MonogenicityReport(namedtuple("MonogenicityReport", (
+    "label rank global_status zariski_local common_index_divisors geometric "
+    "vanishing_fibers primes artin_crosscheck search witness reason notes"
+))):
+    """Every verdict of classify.
+
+    global_status is Monogenic, NotMonogenic or Unknown; witness and reason
+    may be None; notes is a list that base_Z_twisted_note extends.
+    """
+
+    __slots__ = ()
 
     def to_json(self):
         g = {"status": self.global_status}

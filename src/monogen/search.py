@@ -16,7 +16,7 @@ the j-th, for j from last to first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import itemgetter
 
 from .errors import BudgetExceeded, IdentityNotInBasis, MonogenError, NotIntegerBase
@@ -126,12 +126,8 @@ def _check_budget(count: int, m: int, cap: int, name: str):
         raise BudgetExceeded(f"{name}: {count}^{m} exceeds the enumeration cap {cap}")
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    height: int
-    witnesses: tuple
-    classes: tuple
-    exhausted: bool
+class SearchResult(namedtuple("SearchResult", "height witnesses classes exhausted")):
+    __slots__ = ()
 
     def to_json(self):
         return {

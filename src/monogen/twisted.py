@@ -8,23 +8,21 @@ coincide because the class number of Z is one.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 
 from .errors import DegenerateDegree
 
 
-@dataclass(frozen=True)
-class TwistedCurveVerdict:
-    degree: int
-    genus_source: int
-    genus_target: int
-    triangular: int
-    steinitz_degree: int
-    divisible: bool
-    line_bundle_degree: int | None
+class TwistedCurveVerdict(namedtuple(
+    "TwistedCurveVerdict",
+    "degree genus_source genus_target triangular steinitz_degree divisible line_bundle_degree",
+)):
+    """line_bundle_degree is None when the steinitz degree is not divisible."""
+
+    __slots__ = ()
 
     def to_json(self):
-        return asdict(self)
+        return self._asdict()
 
     def render(self) -> str:
         head = (

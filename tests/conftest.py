@@ -79,7 +79,16 @@ def change_basis(alg, U):
     rows = [tuple(base.coerce(x) for x in row) for row in U]
     constants = [[new_coords(alg.vec_mul(a, b)) for b in rows] for a in rows]
     return StructureAlgebra._derived(
-        base, n, constants, new_coords(alg.identity), f"{alg.label} (basis changed)"
+        base, n, sparse_table(base, constants), tuple(new_coords(alg.identity)),
+        f"{alg.label} (basis changed)",
+    )
+
+
+def sparse_table(base, constants):
+    """The table of dense constants: each row as its (k, c) pairs, c coerced and nonzero."""
+    return tuple(
+        tuple(tuple((k, c) for k, c in enumerate(map(base.coerce, row)) if c) for row in plane)
+        for plane in constants
     )
 
 

@@ -28,6 +28,7 @@ from conftest import (
     mult_matrix,
     random_monic,
     random_unimodular,
+    sparse_table,
     sympy_discriminant,
     vec_add,
 )
@@ -176,6 +177,18 @@ class TestIntegerOrders:
         assert (alg.constants, alg.identity) == reference
         assert alg.validate() == []
 
+    @settings(max_examples=150, deadline=None)
+    @given(order_bases())
+    def test_direct_table_passes_the_checked_constructor(self, case):
+        """to_algebra's table, built without coercion or check, is the checked one."""
+        f, basis = case
+        try:
+            alg = OrderPresentation(f, basis).to_algebra()
+        except NotClosedUnderMultiplication:
+            return
+        checked = StructureAlgebra(ZZ, alg.rank, alg.constants, alg.identity)
+        assert (checked.table, checked.identity) == (alg.table, alg.identity)
+
     def test_orders_skip_validation(self, monkeypatch):
         monkeypatch.setattr(StructureAlgebra, "validate", lambda self: pytest.fail("validated"))
         assert dedekind_order().rank == 3
@@ -206,7 +219,8 @@ def raw_tables(draw):
 def tables_and_vectors(draw):
     """A random table (not necessarily a ring) over any base, and two vectors."""
     base, n, constants = draw(raw_tables())
-    alg = StructureAlgebra._derived(base, n, constants, [0] * n, "random table")
+    alg = StructureAlgebra._derived(base, n, sparse_table(base, constants), (base.zero,) * n,
+                                    "random table")
     vector = st.lists(elements(base), min_size=n, max_size=n)
     v, w = (tuple(base.coerce(x) for x in draw(vector)) for _ in range(2))
     return alg, v, w
@@ -254,7 +268,8 @@ class TestTable:
     @given(raw_tables())
     def test_constants_are_the_coerced_input(self, case):
         base, n, raw = case
-        alg = StructureAlgebra._derived(base, n, raw, [0] * n, "random table")
+        alg = StructureAlgebra._derived(base, n, sparse_table(base, raw), (base.zero,) * n,
+                                        "random table")
         assert alg.constants == tuple(
             tuple(tuple(base.coerce(c) for c in row) for row in plane) for plane in raw
         )

@@ -432,3 +432,15 @@ class TestDeterminism:
         _, out1, _ = run(capsys, "classify", fixture_path("sqrt2_sqrt3"), "--json")
         _, out2, _ = run(capsys, "classify", fixture_path("sqrt2_sqrt3"), "--json")
         assert out1 == out2
+
+
+class TestColdStart:
+    def test_import_loads_no_heavy_stdlib_module(self):
+        """dataclasses pulls in inspect, ast, dis and tokenize, and importlib.resources
+        pulls in tempfile, shutil, random and zipfile: the CLI imports neither."""
+        src = str(Path(fixtures.__file__).parents[1])
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import monogen.cli; "
+                "print(sorted({'dataclasses', 'inspect', 'importlib.resources'} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code, src],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

@@ -114,6 +114,19 @@ class TestPolyArith:
         assert doc["terms"] == [[[1], [3, 0]], [[1, 0, 0, 1], [0, 3]]]
         assert from_document(doc).to_json() == doc
 
+    @pytest.mark.parametrize("base, coeffs, text", [
+        (ZX, [0, 1], "t*x1"),
+        (ZX, [0, -1], "-t*x1"),
+        (ZX, [0, 2], "2*t*x1"),
+        (ZX, [1, 1], "(t + 1)*x1"),
+        (BaseRing("FpX", 5), [0, 1], "t*x1"),
+        (BaseRing("FpX", 5), [0, -1], "4*t*x1"),  # F_p has no sign: -1 is 4
+        (BaseRing("FpX", 5), [0, 2], "2*t*x1"),
+        (BaseRing("FpX", 5), [1, 1], "(t + 1)*x1"),
+    ])
+    def test_one_term_coefficient_has_no_parentheses(self, base, coeffs, text):
+        assert SparsePoly(base, 1, {(1,): base.coerce(coeffs)}).text() == text
+
 
 def _random_poly(rng, arity, base=ZZ):
     terms = {}
