@@ -48,14 +48,15 @@ class StructureAlgebra:
 
     ``table[i][j]`` holds the pairs (k, c) with c = c[i][j][k] nonzero, c an
     int, or a coefficient tuple over Z[t] and F_p[t]; it is the only stored
-    form of the multiplication.  The constructor raises ValidationError,
-    listing every violated axiom, unless the table is commutative and
-    associative with the given 1.
+    form of the multiplication.  No unit vector is stored: basis_vector
+    builds e_i when asked.  The constructor raises ValidationError, listing
+    every violated axiom, unless the table is commutative and associative
+    with the given 1.
     Algebras that are rings by construction skip the coercion and the
     check: orders and reductions mod p hand their table to ``_derived``.
     """
 
-    __slots__ = ("base", "rank", "table", "identity", "label", "_units")
+    __slots__ = ("base", "rank", "table", "identity", "label")
 
     def __init__(self, base: BaseRing, rank: int, constants, identity, label: str = ""):
         if type(rank) is not int or not 1 <= rank <= RANK_CAP:  # a JSON true is no rank
@@ -76,7 +77,7 @@ class StructureAlgebra:
             tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in plane)
             for plane in constants
         )
-        self._fill(base, rank, table, identity, label)
+        self.base, self.rank, self.table, self.identity, self.label = base, rank, table, identity, label
         violations = self.validate()
         if violations:
             raise ValidationError(violations)
@@ -90,18 +91,8 @@ class StructureAlgebra:
         OrderPresentation.to_algebra, reductions mod p from reduce_mod_p.
         """
         alg = cls.__new__(cls)
-        alg._fill(base, rank, table, identity, label)
+        alg.base, alg.rank, alg.table, alg.identity, alg.label = base, rank, table, identity, label
         return alg
-
-    def _fill(self, base, rank, table, identity, label):
-        self.base, self.rank, self.table, self.identity, self.label = base, rank, table, identity, label
-        zero, one = base.zero, base.one
-        row, units = [zero] * rank, []
-        for i in range(rank):  # every reduction mod p builds these, so no slicing
-            row[i] = one
-            units.append(tuple(row))
-            row[i] = zero
-        self._units = tuple(units)
 
     @property
     def constants(self):
@@ -147,7 +138,7 @@ class StructureAlgebra:
     def mult_rows(self, v):
         """The products v*e_j for j = 0..n-1, the matrix of multiplication by v, in one pass."""
         if self.base.is_polynomial:
-            return [self.vec_mul(v, u) for u in self._units]
+            return [self.vec_mul(v, self.basis_vector(j)) for j in range(self.rank)]
         n, p = self.rank, self.base.p
         rows = [[0] * n for _ in range(n)]
         for a, plane in zip(v, self.table):
@@ -158,7 +149,10 @@ class StructureAlgebra:
         return [tuple(row) if p is None else tuple([x % p for x in row]) for row in rows]
 
     def basis_vector(self, i):
-        return self._units[i]
+        """The unit vector e_i, built when asked."""
+        row = [self.base.zero] * self.rank
+        row[i] = self.base.one
+        return tuple(row)
 
     def element_power(self, v, k: int):
         """v^k for k >= 0, left to right: square, then multiply by v itself.
@@ -241,7 +235,8 @@ class StructureAlgebra:
 
     def identity_basis_index(self):
         """Index k if the identity coordinates are the k-th unit vector, else None."""
-        return self._units.index(self.identity) if self.identity in self._units else None
+        k = next((k for k, u in enumerate(self.identity) if u), 0)
+        return k if self.identity == self.basis_vector(k) else None
 
     # -- serialization
 

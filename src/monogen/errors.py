@@ -37,10 +37,6 @@ class NotIntegerBase(MonogenError):
     pass
 
 
-class NonUnimodular(MonogenError):
-    pass
-
-
 class LengthMismatch(MonogenError):
     pass
 

@@ -455,30 +455,16 @@ class SparsePoly:
         """Sorted indices of variables with a positive exponent somewhere."""
         return [i for i, column in enumerate(zip(*self.terms)) if any(column)]
 
-    def leading(self):
-        """(exponent vector, coefficient) of the graded-lex leading term."""
-        if not self.terms:
-            raise ZeroPolynomial("zero polynomial has no leading term")
-        exps = max(self.terms, key=_grlex_key)
-        return exps, self.terms[exps]
-
     def _check_compatible(self, other):
         if self.base != other.base:
             raise BaseRingMismatch(f"{self.base!r} vs {other.base!r}")
         if self.arity != other.arity:
             raise ArityMismatch(f"arity {self.arity} vs {other.arity}")
 
-    # -- negation, for canonical_sign
-
-    def __neg__(self):
-        return SparsePoly(
-            self.base, self.arity, {e: self.base.neg(c) for e, c in self.terms.items()}
-        )
-
     # -- evaluation / reduction
 
     def evaluate(self, values):
-        """Substitute a base-ring element for each variable.
+        """Substitute a base-ring element for each variable, coerced here only.
 
         A univariate polynomial over Z or F_p, a line of a scan, is summed in
         plain ints and reduced mod p once; any other in the base ring.
@@ -511,10 +497,10 @@ class SparsePoly:
 
     def canonical_sign(self) -> "SparsePoly":
         """Negate if the graded-lex leading coefficient is negative."""
-        if self.is_zero:
-            return self
-        _, lc = self.leading()
-        return -self if self.base.is_negative(lc) else self
+        terms, neg = self.terms, self.base.neg
+        if terms and self.base.is_negative(terms[max(terms, key=_grlex_key)]):
+            return SparsePoly._derived(self.base, self.arity, {e: neg(c) for e, c in terms.items()})
+        return self
 
     def integer_coefficients(self):
         """Flat list of all integer coefficients (Z and ZX bases)."""

@@ -8,7 +8,7 @@ every expectation and reports one pass/fail row per check.
 from __future__ import annotations
 
 import json
-from pathlib import Path
+import os
 
 from .errors import MonogenError, ParseError
 from .algebra import OrderPresentation, StructureAlgebra
@@ -24,6 +24,8 @@ def load_algebra_json(doc, label_hint: str = "") -> StructureAlgebra:
     inner = doc.get("algebra") or doc.get("order") or doc
     if not isinstance(inner, dict):
         raise ParseError("'algebra' or 'order' must be a JSON object")
+    if not all(isinstance(d.get("label", ""), str) for d in (doc, inner)):
+        raise ParseError("label must be a string")
     label = doc.get("label") or inner.get("label") or label_hint
     try:
         if "minpoly" in inner:
@@ -40,39 +42,44 @@ def load_algebra_json(doc, label_hint: str = "") -> StructureAlgebra:
     return alg
 
 
-def _read_json(path: Path):
+def _read_json(path):
     """The JSON document in a file; ParseError naming the path if it cannot be read."""
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        with open(path, encoding="utf-8") as f:
+            return json.load(f)
     except OSError as exc:  # missing, a directory, unreadable
         raise ParseError(f"{path}: cannot read: {exc.strerror}") from exc
     except ValueError as exc:  # not UTF-8, or not JSON
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
 
 
+def _stem(path) -> str:
+    return os.path.splitext(os.path.basename(path))[0]
+
+
 def parse_input(path) -> StructureAlgebra:
-    path = Path(path)
-    return load_algebra_json(_read_json(path), label_hint=path.stem)
+    return load_algebra_json(_read_json(path), label_hint=_stem(path))
 
 
-def corpus_dir() -> Path:
-    return Path(__file__).parent / "corpus"
+def corpus_dir() -> str:
+    return os.path.join(os.path.dirname(__file__), "corpus")
 
 
 def corpus_files():
-    return sorted(corpus_dir().glob("*.json"))
+    folder = corpus_dir()
+    return sorted(os.path.join(folder, f) for f in os.listdir(folder) if f.endswith(".json"))
 
 
-def load_fixture(path: Path):
+def load_fixture(path):
     doc = _read_json(path)
-    return load_algebra_json(doc, label_hint=path.stem), doc.get("expected", {})
+    return load_algebra_json(doc, label_hint=_stem(path)), doc.get("expected", {})
 
 
 def run_corpus(cap: int = DEFAULT_ENUM_CAP):
     """Replay every expectation in the corpus; returns result rows."""
     rows = []
     for path in corpus_files():
-        name = path.stem
+        name = _stem(path)
         try:
             alg, expected = load_fixture(path)
         except MonogenError as exc:
@@ -137,7 +144,7 @@ def _run_check(alg, form, check, want, cap):
             }
         return got
     if check == "monogenerator":
-        res = check_monogenerator(alg, [alg.base.coerce(c) for c in want["candidate"]])
+        res = check_monogenerator(alg, want["candidate"])
         return {"candidate": want["candidate"], "is_monogenerator": res["is_monogenerator"]}
     raise MonogenError(f"unknown corpus check {check!r}")
 

@@ -28,9 +28,10 @@ def matrix_of_coefficients(alg: StructureAlgebra):
     bits per variable, so a product of monomials is the sum of their keys.
     Over Z[t] and F_p[t] the exponent of t is packed above the n x-fields,
     so every coefficient is a plain int and one product loop serves all
-    four bases; at the end the powers of t are gathered back into
-    coefficient tuples, keyed by the x-part, and one unpack serves all four
-    bases too.  Over F_p and F_p[t] each row is reduced mod p once.
+    four bases.  One unpack at the end serves all four bases too: it reads
+    each packed term once, and over Z[t] and F_p[t] gathers the powers of t
+    into coefficient tuples keyed by the x-part as it goes.  Over F_p and
+    F_p[t] each row is reduced mod p once.
     Multiplication by theta sends a_i e_i to a_i * sum_j c_ijk x_j in
     coordinate k, so each nonzero form sum_j c_ijk x_j is packed once, off
     the table on all four bases, with t^d shifted up d fields of t.
@@ -68,26 +69,22 @@ def matrix_of_coefficients(alg: StructureAlgebra):
         else:
             row = [{e: r for e, c in acc.items() if (r := c % p)} for acc in nxt]
         rows.append(row)
-    if base.is_polynomial:  # gather the powers of t into coefficient tuples
-        low = (1 << t_shift) - 1
-        for row in rows:
-            for k, terms in enumerate(row):
-                row[k] = gathered = {}
-                for key, c in terms.items():
-                    d, key = key >> t_shift, key & low
-                    old = gathered.get(key, ())
-                    old += (0,) * (d + 1 - len(old))
-                    gathered[key] = old[:d] + (c,) + old[d + 1:]
-    mask = (1 << width) - 1
+    mask, low, gather = (1 << width) - 1, (1 << t_shift) - 1, base.is_polynomial
     shifts = [width * j for j in range(n)]
     exps_of = {}  # the entries of a row share their monomials
 
     def unpacked(terms):
         out = {}
         for key, c in terms.items():
+            if gather:  # the exponent of t lies above the x-fields
+                d, key = key >> t_shift, key & low
             exps = exps_of.get(key)
             if exps is None:
                 exps = exps_of[key] = tuple(key >> s & mask for s in shifts)
+            if gather:  # into a coefficient tuple
+                old = out.get(exps, ())
+                old += (0,) * (d + 1 - len(old))
+                c = old[:d] + (c,) + old[d + 1:]
             out[exps] = c
         return SparsePoly._derived(base, n, out)
 
@@ -136,5 +133,5 @@ def index_form(alg: StructureAlgebra) -> IndexForm:
 def check_monogenerator(alg: StructureAlgebra, v):
     """Certify a single candidate: the index form at v must be a unit."""
     form = index_form(alg)
-    value = form.evaluate([alg.base.coerce(c) for c in v])
+    value = form.evaluate(v)
     return {"is_monogenerator": alg.base.is_unit(value), "value": value}

@@ -38,21 +38,22 @@ def projective_scan(poly: SparsePoly, cap: int, name: str):
     pays for no later chart.  Raises BudgetExceeded, its message led by
     name, before the first evaluation when p^m exceeds cap.
     """
-    p = poly.base.p
-    _check_budget(p, len(poly.variables_used()), cap, name)
-    yield from _charts(poly, range(1, 2), range(p))
+    yield from _charts(poly, range(1, 2), range(poly.base.p), cap, name)
 
 
-def _charts(poly: SparsePoly, leads, values):
+def _charts(poly: SparsePoly, leads, values, cap: int, name: str):
     """Yield (v, poly(v)) for 0 and each v whose first nonzero used coordinate is in leads.
 
     Chart j sets the used coordinates before the j-th to 0, runs the j-th
     over leads and the later ones over values; the coordinates poly does
     not use stay 0.  The charts come from the last used coordinate to the
     first, so with leads starting at 1 the points come in lexicographic
-    order.
+    order.  Raises BudgetExceeded, its message led by name, before the
+    first evaluation when len(values)^m exceeds cap, m the number of used
+    variables: the one budget check of every scan.
     """
     used = poly.variables_used()
+    _check_budget(len(values), len(used), cap, name)
     base, arity = poly.base, poly.arity
     yield from _walk(base, {(): poly.terms.get((0,) * arity, base.zero)}, [], [], [0] * arity)
     for j in reversed(range(len(used))):
@@ -161,10 +162,9 @@ def search_monogenerators(
     check_height(height)
     if form is None:
         form = index_form(alg)
-    poly = form.form
-    values = range(-height, height + 1)
-    _check_budget(len(values), len(poly.variables_used()), cap, f"box search at height {height}")
-    found = [v for v, value in _charts(poly, range(1, height + 1), values) if value in (1, -1)]
+    scan = _charts(form.form, range(1, height + 1), range(-height, height + 1), cap,
+                   f"box search at height {height}")
+    found = [v for v, value in scan if value in (1, -1)]
     witnesses = sorted(found + [tuple(-c for c in w) for w in found if any(w)])
     ident = alg.identity_basis_index()
     classes = []

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import product
 from operator import add
+from pathlib import Path
 
 import pytest
 from sympy import GF, Poly, Symbol, discriminant
@@ -16,7 +17,7 @@ from monogen.algebra import (
     power_basis_algebra,
     split_algebra,
 )
-from monogen.errors import LengthMismatch, NonUnimodular, NotIntegerBase
+from monogen.errors import LengthMismatch, MonogenError, NotIntegerBase
 from monogen.exactring import ZZ, fp_rref, int_adjugate
 from monogen.fixtures import corpus_files, load_fixture
 
@@ -27,13 +28,17 @@ def corpus():
     out = []
     for path in corpus_files():
         alg, expected = load_fixture(path)
-        out.append((path.stem, alg, expected))
+        out.append((Path(path).stem, alg, expected))
     return out
 
 
 @pytest.fixture(scope="session")
 def corpus_z(corpus):
     return [(n, a, e) for n, a, e in corpus if a.base.kind == "Z"]
+
+
+class NonUnimodular(MonogenError):
+    """A change of basis whose matrix is not invertible over the base ring."""
 
 
 def vec_add(alg, v, w):
@@ -217,9 +222,9 @@ def sympy_discriminant(coeffs):
 
 
 # Expected forms are built in sympy's sparse polynomial rings and compared
-# with SparsePoly.terms.  The ring's order, grlex, is the order of
-# SparsePoly.leading, so the sign of LC is the sign canonical_sign reads
-# over Z and F_p.
+# with SparsePoly.terms.  The ring's order, grlex, is the order in which
+# SparsePoly.canonical_sign finds the leading term, so the sign of LC is
+# the sign canonical_sign reads over Z and F_p.
 
 
 def sympy_ring(base, arity):

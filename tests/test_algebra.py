@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from monogen.errors import (
     InvalidAlgebra,
     NonMonic,
-    NonUnimodular,
     NotClosedUnderMultiplication,
     NotIntegerBase,
     ValidationError,
@@ -20,6 +19,7 @@ from monogen.algebra import (
 )
 from monogen.exactring import BaseRing, Fp, ZX, ZZ, int_adjugate
 from conftest import (
+    NonUnimodular,
     change_basis,
     dedekind_order,
     fp_matrix_inverse,

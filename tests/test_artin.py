@@ -8,6 +8,7 @@ from sympy import Poly, Symbol
 
 from monogen import artin
 from monogen.algebra import OrderPresentation, StructureAlgebra, power_basis_algebra, split_algebra
+from monogen.errors import SplitFailure
 from monogen.exactring import Fp, ZZ
 from monogen.artin import (
     LocalFactor,
@@ -259,6 +260,42 @@ def enumerated_primitive_idempotents(alg, p):
     # e is minimal when no other nonzero idempotent d has d*e = d
     return sorted(e for e in idempotents
                   if not any(d != e and mul(d, e) == d for d in idempotents)), mul
+
+
+@st.composite
+def idempotent_fibers(draw):
+    """(Z-algebra, p) for Z^n or Z + m*Z[theta] of rank 2-6 in a random basis, p <= 7."""
+    n = draw(st.integers(2, 6))
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    if draw(st.booleans()):
+        return rebased(draw, split_algebra(n)), p
+    f = draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n)) + [1]
+    m = draw(st.integers(1, 2 * p))
+    basis = [[m if i == j > 0 else int(i == j) for j in range(n)] for i in range(n)]
+    return rebased(draw, OrderPresentation(f, basis).to_algebra(f"Z + {m}*Z[theta]")), p
+
+
+class TestCheckDecomposition:
+    """The final check squares no idempotent: these cover what it still tests."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(idempotent_fibers())
+    def test_every_idempotent_squares_to_itself(self, case):
+        alg, p = case
+        for e in decompose(alg.reduce_mod_p(p)).idempotents:
+            # the product over Z, reduced after: not the table mod p that decompose used
+            assert tuple(x % p for x in alg.vec_mul(e, e)) == e
+
+    @pytest.mark.parametrize("idempotents,dims,message", [
+        (((1, 0), (1, 1)), (1, 1), "idempotents are not orthogonal"),
+        (((1, 0),), (2,), "idempotents do not sum to 1"),
+        (((1, 0), (0, 1)), (1, 2), "factor dimensions do not sum to the rank"),
+    ], ids=["not_orthogonal", "sum_not_1", "dimensions_off_rank"])
+    def test_bad_decomposition_raises(self, idempotents, dims, message):
+        alg = split_algebra(2).reduce_mod_p(3)
+        factors = [LocalFactor(d, 1, 0, 1) for d in dims]
+        with pytest.raises(SplitFailure, match=f"^{message}$"):
+            artin._check_decomposition(alg, factors, idempotents)
 
 
 class TestIdempotentOracle:

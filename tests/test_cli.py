@@ -25,7 +25,7 @@ ARTIN_GOLDEN_CASES = [
 
 
 def fixture_path(name):
-    return str(corpus_dir() / f"{name}.json")
+    return str(Path(corpus_dir()) / f"{name}.json")
 
 
 def run(capsys, *argv):
@@ -186,6 +186,17 @@ class TestCommands:
         assert code == 1 and out == ""
         doc = json.loads(err)
         assert doc["error"] == "ParseError" and str(path) in doc["message"]
+
+    @pytest.mark.parametrize("command,label", [("classify", ["a"]), ("validate", 5)],
+                             ids=["list", "int"])
+    def test_non_string_label_exit_1(self, capsys, tmp_path, command, label):
+        # a label is printed back as given, so it must be a string
+        path = tmp_path / "label.json"
+        path.write_text(json.dumps({"label": label, "order": {"minpoly": [1, 0, 1],
+                                                              "basis": [[1, 0], [0, 1]]}}))
+        code, out, err = run(capsys, command, str(path), "--json")
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "ParseError", "message": "label must be a string"}
 
     def test_fractional_minpoly_coefficient_exit_1(self, capsys, tmp_path):
         # -2.5 must not be read as -2, which would print the index form x2 of Z[sqrt 2]
@@ -396,7 +407,7 @@ class TestDeterminism:
         """The ten corpus fixtures, then a Z[t] table that breaks two axioms."""
         here = Path(__file__).parent
         golden = (here / "validate_golden.jsonl").read_text(encoding="utf-8").splitlines(True)
-        cases = [(p, 0) for p in sorted(corpus_dir().glob("*.json"))]
+        cases = [(p, 0) for p in sorted(Path(corpus_dir()).glob("*.json"))]
         cases.append((here / "invalid_zx_table.json", 1))
         assert len(golden) == len(cases)
         for (path, want_code), want in zip(cases, golden):
@@ -436,11 +447,13 @@ class TestDeterminism:
 
 class TestColdStart:
     def test_import_loads_no_heavy_stdlib_module(self):
-        """dataclasses pulls in inspect, ast, dis and tokenize, and importlib.resources
-        pulls in tempfile, shutil, random and zipfile: the CLI imports neither."""
+        """dataclasses pulls in inspect, ast, dis and tokenize, importlib.resources
+        pulls in tempfile, shutil, random and zipfile, and pathlib pulls in
+        urllib.parse and ipaddress: the CLI imports none of them."""
         src = str(Path(fixtures.__file__).parents[1])
         code = ("import sys; sys.path.insert(0, sys.argv[1]); import monogen.cli; "
-                "print(sorted({'dataclasses', 'inspect', 'importlib.resources'} & set(sys.modules)))")
+                "print(sorted({'dataclasses', 'inspect', 'importlib.resources', 'pathlib'}"
+                " & set(sys.modules)))")
         proc = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code, src],
                               capture_output=True, text=True)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

@@ -22,8 +22,8 @@ from conftest import dedekind_order, gaussian_order, naive_scan, random_algebra,
 
 
 ZT_CHARTS = [
-    corpus_dir() / "elliptic_chart.json",
-    corpus_dir() / "p1_squaring_chart.json",
+    Path(corpus_dir()) / "elliptic_chart.json",
+    Path(corpus_dir()) / "p1_squaring_chart.json",
     Path(__file__).with_name("dual_numbers_zt_chart.json"),
 ]
 

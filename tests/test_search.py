@@ -151,6 +151,19 @@ class TestProjectiveScan:
         assert calls == []
         assert len(list(projective_scan(poly, 9, "scan"))) == 1 + 3 + 1
 
+    def test_variables_used_once_per_scan(self, monkeypatch):
+        """The budget check and the charts share one variables_used call."""
+        calls = []
+        used = SparsePoly.variables_used
+        monkeypatch.setattr(SparsePoly, "variables_used",
+                            lambda self: calls.append(self) or used(self))
+        list(projective_scan(x0_squared_plus_x2(Fp(3)), 9, "scan"))
+        assert len(calls) == 1
+        calls.clear()
+        form = IndexForm("x0^2 + x2", 3, x0_squared_plus_x2())
+        search_monogenerators(power_basis_algebra([0, 0, 0, 1]), 1, 9, form)
+        assert len(calls) == 1
+
     def test_charts_from_last_coordinate_to_first(self):
         poly = SparsePoly(Fp(3), 3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
         vs = [v for v, _ in projective_scan(poly, 27, "scan")]
