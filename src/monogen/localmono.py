@@ -18,6 +18,7 @@ from .indexform import IndexForm, index_form
 from . import artin
 from .search import (
     DEFAULT_ENUM_CAP,
+    SearchResult,
     check_height,
     projective_scan,
     search_monogenerators,
@@ -113,13 +114,20 @@ def value_set_mod_p(form: IndexForm, p: int, cap: int = DEFAULT_ENUM_CAP):
 
     The form is homogeneous of degree d, so on the line through v it takes
     the values c^d * F(v) for c in F_p^*: one point per line is evaluated,
-    and each value is scaled by the d-th powers.  A form over Z[t] raises
-    NotIntegerBase before any point is scanned.
+    and each new value is scaled by the d-th powers.  The scan stops once
+    the set holds all p residues, since no later point can add one.  A form
+    over Z[t] raises NotIntegerBase, and a scan of more than cap points
+    raises BudgetExceeded, before any point is evaluated.
     """
     scan = projective_scan(form.reduce_mod_p(p), cap, f"value set mod {p}")
-    values = {value for _, value in scan}
     powers = {pow(c, form.degree, p) for c in range(1, p)}
-    return {a * u % p for a in values for u in powers}
+    values = set()
+    for _, value in scan:
+        if value not in values:
+            values.update(value * u % p for u in powers)
+            if len(values) == p:
+                break
+    return values
 
 
 def local_obstruction_primes(
@@ -205,15 +213,36 @@ class MonogenicityReport(namedtuple("MonogenicityReport", (
 def classify(
     alg: StructureAlgebra, height: int, cap: int = DEFAULT_ENUM_CAP
 ) -> MonogenicityReport:
-    """Aggregate every verdict for an integer algebra."""
+    """Aggregate every verdict for an integer algebra.
+
+    A common index divisor p settles NotMonogenic before the box search:
+    the form vanishes on F_p^m, so F(v) = 0 mod p at every integer point v
+    and no box can hold a witness.  The search block is then the empty,
+    exhausted search at the given height, whatever its box and the cap.  An
+    identically zero form is NotMonogenic for the same reason at every
+    prime; its report lists no prime, no common index divisor and no
+    vanishing fiber, and is neither Zariski-locally nor geometrically
+    monogenic.  Only the cross-check rows at the primes up to
+    CROSSCHECK_BOUND are kept for it.
+    """
     _require_z(alg)
     check_height(height)
     form = index_form(alg)
-    geo = geometric_point_verdict(alg, form)
-    verdicts = _prime_verdicts(alg, cap, form, geo["vanishing_fiber_primes"])
-    cids = [v.prime for v in verdicts if not v.monogenic_at_p]
+    if form.form.is_zero:
+        geometric, vanishing, verdicts, cids = False, set(), [], []
+        reason = "index form identically zero"
+    else:
+        geo = geometric_point_verdict(alg, form)
+        geometric = geo["monogenic_over_geometric_points"]
+        vanishing = geo["vanishing_fiber_primes"]
+        verdicts = _prime_verdicts(alg, cap, form, vanishing)
+        cids = [v.prime for v in verdicts if not v.monogenic_at_p]
+        reason = f"common index divisor {cids[0]}" if cids else None
 
-    result = search_monogenerators(alg, height, cap, form)
+    if reason is None:
+        result = search_monogenerators(alg, height, cap, form)
+    else:
+        result = SearchResult(height, (), (), True)
 
     crosscheck = []
     for p in sorted({p for p in range(2, CROSSCHECK_BOUND + 1) if is_prime(p)} | set(cids)):
@@ -227,13 +256,12 @@ def classify(
         crosscheck.append({"p": p, "brute": brute, "artin": fiber})
 
     notes, obstructions = [], []
-    status, witness, reason = "Unknown", None, None
-    if result.witnesses:
+    status, witness = "Unknown", None
+    if reason is not None:
+        status = "NotMonogenic"
+    elif result.witnesses:
         witness = result.witnesses[0]
         status = "Monogenic"
-    elif cids:
-        status = "NotMonogenic"
-        reason = f"common index divisor {cids[0]}"
     else:
         notes.append(f"height {height} exhausted without a witness")
         try:
@@ -246,10 +274,10 @@ def classify(
         label=alg.label,
         rank=alg.rank,
         global_status=status,
-        zariski_local=not cids,
+        zariski_local=reason is None,
         common_index_divisors=cids,
-        geometric=geo["monogenic_over_geometric_points"],
-        vanishing_fibers=sorted(geo["vanishing_fiber_primes"]),
+        geometric=geometric,
+        vanishing_fibers=sorted(vanishing),
         primes=verdicts,
         artin_crosscheck=crosscheck,
         search=result,

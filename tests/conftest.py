@@ -18,7 +18,7 @@ from monogen.algebra import (
     split_algebra,
 )
 from monogen.errors import LengthMismatch, MonogenError, NotIntegerBase
-from monogen.exactring import ZZ, fp_rref, int_adjugate
+from monogen.exactring import ZZ, SparsePoly, fp_rref, int_adjugate
 from monogen.fixtures import corpus_files, load_fixture
 
 
@@ -298,3 +298,16 @@ def naive_scan(poly, values):
             v[i] = x
         points.append((tuple(v), base.coerce(s)))
     return points
+
+
+def counting_evaluate(monkeypatch):
+    """Record the point of every SparsePoly.evaluate call; returns the list."""
+    calls = []
+    original = SparsePoly.evaluate
+
+    def evaluate(self, v):
+        calls.append(tuple(v))
+        return original(self, v)
+
+    monkeypatch.setattr(SparsePoly, "evaluate", evaluate)
+    return calls

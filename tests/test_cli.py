@@ -288,6 +288,24 @@ class TestCommands:
         assert report["global"] == {"status": "NotMonogenic", "reason": f"common index divisor {p}"}
         assert report["artin_crosscheck"][-1] == {"p": p, "brute": False, "artin": False}
 
+    @pytest.mark.parametrize("name", ["square_zero_rank3", "dual_squares_rank4"])
+    def test_classify_zero_index_form(self, capsys, name):
+        # Z[x,y]/(x,y)^2 and Z[x,y]/(x^2,y^2): no element generates them over any
+        # field, so every prime is a common index divisor and none is listed
+        path = str(Path(__file__).with_name(f"{name}.json"))
+        assert run(capsys, "validate", path)[0] == 0
+        code, out, err = run(capsys, "classify", path, "--height", "2", "--json")
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert report["global"] == {"status": "NotMonogenic", "reason": "index form identically zero"}
+        assert report["zariski_local"] is False and report["geometric"] is False
+        assert report["common_index_divisors"] == report["vanishing_fibers"] == []
+        assert report["primes"] == []
+        assert report["search"] == {"height": 2, "witnesses": [], "classes": [], "exhausted": True}
+        assert report["artin_crosscheck"] == [
+            {"p": p, "brute": False, "artin": False} for p in (2, 3, 5, 7)
+        ]
+
     def test_shared_parser_keeps_defaults_between_calls(self, capsys):
         # the parser is built once per process; an option given in one call
         # must not become the default of the next

@@ -5,11 +5,12 @@ from hypothesis import example, given, settings, strategies as st
 from sympy import Poly, discriminant, primefactors, symbols
 
 from monogen.errors import BudgetExceeded, NotIntegerBase, ZeroIndexForm
-from monogen import artin
+from monogen import artin, localmono
 from monogen.algebra import OrderPresentation, StructureAlgebra, power_basis_algebra, split_algebra
 from monogen.exactring import ZZ, SparsePoly
 from monogen.fixtures import corpus_dir, parse_input
 from monogen.indexform import check_monogenerator, index_form
+from monogen.search import SearchResult, search_monogenerators
 from monogen.localmono import (
     classify,
     common_index_divisors,
@@ -18,7 +19,14 @@ from monogen.localmono import (
     local_obstruction_primes,
     value_set_mod_p,
 )
-from conftest import dedekind_order, gaussian_order, naive_scan, random_algebra, random_unimodular
+from conftest import (
+    counting_evaluate,
+    dedekind_order,
+    gaussian_order,
+    naive_scan,
+    random_algebra,
+    random_unimodular,
+)
 
 
 ZT_CHARTS = [
@@ -158,6 +166,16 @@ class TestValueSets:
         assert value_set_mod_p(form, 3) == {0, 2}
         assert local_obstruction_primes(form, bound=3) == []
 
+    @pytest.mark.parametrize("p", [5, 11])
+    def test_complete_set_ends_the_scan(self, p, monkeypatch):
+        # d = 3 and gcd(3, p - 1) = 1: every unit is a cube, so 0 and the first
+        # nonzero value give all p residues, well before the p + 2 points of
+        # the full projective scan
+        form = index_form(dedekind_order())
+        calls = counting_evaluate(monkeypatch)
+        assert value_set_mod_p(form, p) == set(range(p))
+        assert 2 <= len(calls) < p + 2
+
     def test_budget_names_the_stage(self):
         form = index_form(dedekind_order())
         cap_message = r"\^2 exceeds the enumeration cap "
@@ -175,6 +193,32 @@ class TestClassify:
         assert not r.zariski_local
         assert r.geometric
         assert all(c["brute"] == c["artin"] for c in r.artin_crosscheck)
+
+    @pytest.mark.parametrize("make", [
+        lambda: (dedekind_order(), 10),
+        lambda: (conductor_order([-1, -1, 0, 0, 0, 1], 6)[0], 2),
+    ], ids=["dedekind", "rank5_conductor6"])
+    def test_common_index_divisor_skips_the_box_search(self, make, monkeypatch):
+        # F = 0 mod p on F_p^m at a common index divisor p: no box holds a witness
+        alg, height = make()
+        box = search_monogenerators(alg, height)
+        assert box == SearchResult(height, (), (), True)
+
+        def no_search(*args):
+            raise AssertionError("box search run for an order with a common index divisor")
+
+        monkeypatch.setattr(localmono, "search_monogenerators", no_search)
+        r = classify(alg, height)
+        assert r.global_status == "NotMonogenic" and r.common_index_divisors
+        assert r.search == box
+
+    def test_common_index_divisor_answers_beyond_the_box_cap(self):
+        # the box at height 2000 has 4001^2 points, above DEFAULT_ENUM_CAP
+        with pytest.raises(BudgetExceeded):
+            search_monogenerators(dedekind_order(), 2000)
+        r = classify(dedekind_order(), 2000)
+        assert (r.global_status, r.reason) == ("NotMonogenic", "common index divisor 2")
+        assert r.search == SearchResult(2000, (), (), True)
 
     def test_oracle_disagreement_raises(self, monkeypatch):
         real = artin.fiber_monogenic

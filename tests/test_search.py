@@ -8,7 +8,7 @@ from monogen.algebra import power_basis_algebra, split_algebra
 from monogen.exactring import ZZ, Fp, SparsePoly
 from monogen.indexform import IndexForm, check_monogenerator
 from monogen.search import affine_normalize, projective_scan, search_monogenerators
-from conftest import gaussian_order, naive_scan
+from conftest import counting_evaluate, gaussian_order, naive_scan
 
 
 def x0_squared_plus_x2(base=ZZ):
@@ -55,18 +55,6 @@ def scan_cases(draw):
     exps = st.tuples(*[st.integers(0, 3) if on else st.just(0) for on in live])
     terms = draw(st.dictionaries(exps, st.integers(-20, 20), max_size=6))
     return SparsePoly(base, arity, {e: base.coerce(c) for e, c in terms.items()}), p
-
-
-def counting_evaluate(monkeypatch):
-    calls = []
-    original = SparsePoly.evaluate
-
-    def evaluate(self, v):
-        calls.append(tuple(v))
-        return original(self, v)
-
-    monkeypatch.setattr(SparsePoly, "evaluate", evaluate)
-    return calls
 
 
 class TestLineScan:
