@@ -58,7 +58,13 @@ def _classify(args, cap):
 
 
 def _artin(args, cap):
-    dec = artin.decompose(parse_input(args.input).reduce_mod_p(args.prime))
+    alg = parse_input(args.input)
+    if alg.base.kind != "Fp":  # reduce_mod_p takes Z and refuses Z[t] and F_p[t]
+        alg = alg.reduce_mod_p(args.prime)
+    elif alg.base.p != args.prime:
+        q = alg.base.p
+        raise MonogenError(f"an algebra over F_{q} has its one fiber at {q}, not at {args.prime}")
+    dec = artin.decompose(alg)
     verdict = artin.fiber_monogenic(dec)
 
     def text():

@@ -340,9 +340,6 @@ class BaseRing:
             return _tup_mul(a, b, self.p)
         return a * b if self.p is None else a * b % self.p
 
-    def is_zero(self, a) -> bool:
-        return not a
-
     def is_unit(self, a) -> bool:
         if self.is_polynomial:
             if len(a) != 1:
@@ -421,7 +418,7 @@ class SparsePoly:
         for exps, c in (terms or {}).items():
             if len(exps) != arity:
                 raise ArityMismatch(f"exponent vector {exps} has wrong arity")
-            if not base.is_zero(c):
+            if c:
                 clean[tuple(exps)] = c
         self.terms = clean
 
@@ -437,10 +434,7 @@ class SparsePoly:
 
     @classmethod
     def constant(cls, base, arity, c):
-        c = base.coerce(c)
-        if base.is_zero(c):
-            return cls(base, arity)
-        return cls(base, arity, {(0,) * arity: c})
+        return cls(base, arity, {(0,) * arity: base.coerce(c)})
 
     # -- predicates and views
 

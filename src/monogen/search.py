@@ -11,13 +11,13 @@ of the last coordinate becomes a univariate SparsePoly, and that line is
 evaluated once per point.  projective_scan (one point per line through 0 of
 F_p^m) and search_monogenerators (half of the Z box) walk the same charts
 (_charts): the point 0, then the points whose first nonzero coordinate is
-the j-th, for j from last to first.
+the j-th, for j from last to first.  A chart's transitions are compiled when
+the scan reaches it and freed when its walk ends or is abandoned.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from operator import itemgetter
 
 from .errors import BudgetExceeded, IdentityNotInBasis, MonogenError, NotIntegerBase
 from .algebra import StructureAlgebra
@@ -34,8 +34,8 @@ def projective_scan(poly: SparsePoly, cap: int, name: str):
     uses; the others stay 0.  After the zero point come the points whose
     first nonzero used coordinate is 1, in lexicographic order; a
     homogeneous poly of degree d takes the value c^d * poly(v) at c*v.  A
-    chart is built when the scan reaches it, so a caller that stops early
-    pays for no later chart.  Raises BudgetExceeded, its message led by
+    chart is compiled when the scan reaches it, so a caller that stops early
+    compiles no later chart.  Raises BudgetExceeded, its message led by
     name, before the first evaluation when p^m exceeds cap.
     """
     yield from _charts(poly, range(1, 2), range(poly.base.p), cap, name)
@@ -45,52 +45,44 @@ def _charts(poly: SparsePoly, leads, values, cap: int, name: str):
     """Yield (v, poly(v)) for 0 and each v whose first nonzero used coordinate is in leads.
 
     Chart j sets the used coordinates before the j-th to 0, runs the j-th
-    over leads and the later ones over values; the coordinates poly does
-    not use stay 0.  The charts come from the last used coordinate to the
-    first, so with leads starting at 1 the points come in lexicographic
-    order.  Raises BudgetExceeded, its message led by name, before the
-    first evaluation when len(values)^m exceeds cap, m the number of used
+    over leads and the later ones over values; unused coordinates stay 0.
+    Chart 0 holds every term, chart j + 1 those of chart j with exponent 0
+    at the j-th used coordinate, and chart m, past the last, is the point
+    0.  The charts run from m down to 0, so with leads starting at 1 the
+    points come in lexicographic order.
+    Raises BudgetExceeded, its message led by name, before the first
+    evaluation when len(values)^m exceeds cap, m the number of used
     variables: the one budget check of every scan.
     """
     used = poly.variables_used()
-    _check_budget(len(values), len(used), cap, name)
-    base, arity = poly.base, poly.arity
-    yield from _walk(base, {(): poly.terms.get((0,) * arity, base.zero)}, [], [], [0] * arity)
-    for j in reversed(range(len(used))):
-        chart = _cut(((e, c) for e, c in poly.terms.items() if not any(e[:used[j]])), used[j:])
-        ranges = [leads] + [values] * (len(used) - j - 1)
-        yield from _walk(base, chart, used[j:], ranges, [0] * arity)
-
-
-def _cut(items, keep) -> dict:
-    """Terms keyed by their exponents at the positions keep only.
-
-    Every other exponent of the (exponents, coefficient) items must be 0.
-    """
-    if len(keep) == 1:
-        (i,) = keep
-        return {(e[i],): c for e, c in items}
-    pick = itemgetter(*keep) if keep else lambda e: ()
-    return {pick(e): c for e, c in items}
+    m = len(used)
+    _check_budget(len(values), m, cap, name)
+    charts = [poly.terms]
+    for i in used:
+        charts.append({e: c for e, c in charts[-1].items() if not e[i]})
+    base, point = poly.base, [0] * poly.arity
+    for j in reversed(range(m + 1)):
+        yield from _walk(base, charts[j], used[j:], [leads] + [values] * (m - j - 1), point)
 
 
 def _walk(base, terms: dict, coords, ranges, point):
     """Yield (v, value) with coordinate coords[k] of point running over ranges[k].
 
-    terms maps exponent vectors over coords to coefficients; the other
-    coordinates of point keep their values.  Points come in lexicographic
-    order.  Level k holds one coefficient per distinct suffix (e_k, ...) of
-    the exponent vectors, and setting coordinate k to x adds each one, times
-    x^e_k, onto its suffix (e_{k+1}, ...): (source, destination, exponent)
-    transitions compiled once.  base is Z or F_p: coefficients are plain
-    ints, reduced mod p once per line.  The last level is a univariate
-    SparsePoly, the line, evaluated once per point.
+    terms maps exponent vectors to coefficients, with every exponent outside
+    coords 0; the other coordinates of point keep their values.  Points
+    come in lexicographic order.  Level 0 holds the exponents at coords;
+    level k holds one coefficient per distinct suffix (e_k, ...), and
+    setting coordinate k to x adds each one, times x^e_k, onto its suffix
+    (e_{k+1}, ...): (source, destination, exponent) transitions compiled
+    when the walk starts and freed when it ends.  base is Z or F_p:
+    coefficients are plain ints, reduced mod p once per line.  The last
+    level is a univariate SparsePoly, the line, evaluated once per point.
     """
     m = len(coords)
     if not m:
-        yield tuple(point), SparsePoly(base, 0, terms).evaluate(())
+        yield tuple(point), SparsePoly(base, len(point), terms).evaluate(point)
         return
-    nodes = [list(terms)]  # the suffixes at each level
+    nodes = [[tuple([e[i] for i in coords]) for e in terms]]  # the suffixes at each level
     steps = []  # (transitions, largest exponent) of each level but the last
     for k in range(m - 1):
         index, transitions = {}, []
@@ -98,28 +90,30 @@ def _walk(base, terms: dict, coords, ranges, point):
             transitions.append((s, index.setdefault(e[1:], len(index)), e[0]))
         nodes.append(list(index))
         steps.append((transitions, max((e[0] for e in nodes[k]), default=0)))
-    p = base.p
-
-    def lines(k, coeffs):
-        if k == m - 1:
-            line = {e: r for e, c in zip(nodes[k], coeffs) if (r := c if p is None else c % p)}
-            yield SparsePoly._derived(base, 1, line)
-            return
-        transitions, top = steps[k]
-        width = len(nodes[k + 1])
-        for x in ranges[k]:
-            point[coords[k]] = x
-            powers = [x**e for e in range(top + 1)]
-            nxt = [0] * width
-            for s, d, e in transitions:
-                nxt[d] += coeffs[s] * powers[e]
-            yield from lines(k + 1, nxt)
-
     last, values = coords[-1], ranges[-1]
-    for line in lines(0, list(terms.values())):
+    for line in _lines(base, nodes, steps, coords, ranges, point, 0, list(terms.values())):
         for x in values:
             point[last] = x
             yield tuple(point), line.evaluate((x,))
+
+
+def _lines(base, nodes, steps, coords, ranges, point, k, coeffs):
+    """Yield the line of _walk for each setting of its coordinates k to m - 2,
+    given the coefficients coeffs of level k."""
+    if k == len(steps):
+        p = base.p
+        line = {e: r for e, c in zip(nodes[k], coeffs) if (r := c if p is None else c % p)}
+        yield SparsePoly._derived(base, 1, line)
+        return
+    transitions, top = steps[k]
+    width = len(nodes[k + 1])
+    for x in ranges[k]:
+        point[coords[k]] = x
+        powers = [x**e for e in range(top + 1)]
+        nxt = [0] * width
+        for s, d, e in transitions:
+            nxt[d] += coeffs[s] * powers[e]
+        yield from _lines(base, nodes, steps, coords, ranges, point, k + 1, nxt)
 
 
 def _check_budget(count: int, m: int, cap: int, name: str):

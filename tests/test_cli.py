@@ -132,6 +132,13 @@ class TestCommands:
         assert len(doc["factors"]) == 3
         assert doc["fiber_monogenic"] is False
 
+    # an F_p algebra at its own prime and at another is pinned by the text golden
+    @pytest.mark.parametrize("path", ["tests/cubic_f3t.json", fixture_path("elliptic_chart")])
+    def test_artin_refuses_polynomial_bases(self, capsys, path):
+        path = Path(__file__).parent.parent / path
+        code, _, err = run(capsys, "artin", str(path), "--prime", "3")
+        assert code == 1 and err == "error: reduction mod p needs base Z\n"
+
     def test_search(self, capsys):
         code, out, _ = run(
             capsys, "search", fixture_path("gaussian_integers"), "--height", "1", "--json"

@@ -1,3 +1,4 @@
+import gc
 from itertools import islice
 
 import pytest
@@ -7,6 +8,7 @@ from monogen.errors import BudgetExceeded, IdentityNotInBasis
 from monogen.algebra import power_basis_algebra, split_algebra
 from monogen.exactring import ZZ, Fp, SparsePoly
 from monogen.indexform import IndexForm, check_monogenerator
+from monogen.localmono import classify
 from monogen.search import affine_normalize, projective_scan, search_monogenerators
 from conftest import counting_evaluate, gaussian_order, naive_scan
 
@@ -158,6 +160,26 @@ class TestProjectiveScan:
         assert vs == [(0, 0, 0), (0, 0, 1)] + [(0, 1, c) for c in range(3)] + [
             (1, b, c) for b in range(3) for c in range(3)
         ]
+
+
+class TestGarbage:
+    def test_scans_leave_no_cyclic_garbage(self, corpus):
+        """A chart's compiled walk is freed by reference counting, whether its
+        scan ends or is abandoned, so the cyclic collector finds nothing."""
+        alg = next(a for n, a, _ in corpus if n == "cbrt175")
+        poly = SparsePoly(Fp(7), 3, {(1, 0, 1): 1})
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            search_monogenerators(split_algebra(3), 2)
+            assert next(v for v, value in projective_scan(poly, 7**3, "scan") if value)
+            # box search, prime checks, cross-check fibers and obstruction value sets
+            classify(alg, 1)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestSearch:
