@@ -362,22 +362,13 @@ class BaseRing:
     def format_elem(self, a, var: str = "t") -> str:
         if not self.is_polynomial:
             return str(a)
-        if not a:
-            return "0"
         parts = []
         for e in range(len(a) - 1, -1, -1):
-            c = a[e]
-            if c == 0:
-                continue
-            if e == 0:
-                parts.append(str(c))
-            else:
-                head = "" if c == 1 else ("-" if c == -1 else f"{c}*")
-                parts.append(f"{head}{var}" + (f"^{e}" if e > 1 else ""))
-        s = parts[0]
-        for part in parts[1:]:
-            s += f" - {part[1:]}" if part.startswith("-") else f" + {part}"
-        return s
+            if c := abs(a[e]):
+                power = "" if e == 0 else var if e == 1 else f"{var}^{e}"
+                body = str(c) if not power else power if c == 1 else f"{c}*{power}"
+                parts.append((a[e] < 0, body))
+        return _signed_sum(parts)
 
     def to_json(self):
         d = {"kind": self.kind}
@@ -388,6 +379,15 @@ class BaseRing:
     @classmethod
     def from_json(cls, d):
         return cls(d["kind"], d.get("p"))
+
+
+def _signed_sum(terms) -> str:
+    """Join (negative, body) pairs as "a - b + c"; the empty sum is 0."""
+    s = ""
+    for neg, body in terms:
+        s += (" - " if neg else " + ") if s else "-" if neg else ""
+        s += body
+    return s or "0"
 
 
 ZZ = BaseRing("Z")
@@ -431,10 +431,6 @@ class SparsePoly:
         poly = cls.__new__(cls)
         poly.base, poly.arity, poly.terms = base, arity, terms
         return poly
-
-    @classmethod
-    def constant(cls, base, arity, c):
-        return cls(base, arity, {(0,) * arity: base.coerce(c)})
 
     # -- predicates and views
 
@@ -496,14 +492,6 @@ class SparsePoly:
             return SparsePoly._derived(self.base, self.arity, {e: neg(c) for e, c in terms.items()})
         return self
 
-    def integer_coefficients(self):
-        """Flat list of all integer coefficients (Z and ZX bases)."""
-        if self.base.p is not None:
-            raise BaseRingMismatch("integer coefficients need base Z or Z[t]")
-        if self.base.is_polynomial:
-            return [x for c in self.terms.values() for x in c]
-        return list(self.terms.values())
-
     # -- serialization
 
     def sorted_terms(self):
@@ -511,8 +499,6 @@ class SparsePoly:
 
     def text(self) -> str:
         """Canonical text form, graded-lex descending: c*x1^e1*...*xn^en + ..."""
-        if not self.terms:
-            return "0"
         base = self.base
         chunks = []
         for exps, c in self.sorted_terms():
@@ -527,12 +513,8 @@ class SparsePoly:
             if base.is_polynomial and sum(map(bool, cc)) > 1 and mono:  # a sum of terms
                 cs = f"({cs})"
             body = cs if not mono else (mono if cs == "1" else f"{cs}*{mono}")
-            chunks.append(("-" if neg else "+", body))
-        sign, body = chunks[0]
-        s = body if sign == "+" else f"-{body}"
-        for sign, body in chunks[1:]:
-            s += f" {sign} {body}"
-        return s
+            chunks.append((neg, body))
+        return _signed_sum(chunks)
 
     def to_json(self):
         return {
@@ -775,11 +757,14 @@ def fp_kernel(rows, p):
 
 
 def content_primes(f: SparsePoly) -> set:
-    """Primes dividing every integer coefficient of f (base Z or Z[t])."""
+    """Primes dividing every coefficient of f, a form over Z: those mod
+    which f vanishes.  No other base has content primes to report."""
+    if f.base.kind != "Z":
+        raise BaseRingMismatch("content primes need base Z")
     if f.is_zero:
         raise ZeroPolynomial("content of the zero polynomial is undefined")
     g = 0
-    for c in f.integer_coefficients():
+    for c in f.terms.values():
         g = gcd(g, c)
         if g == 1:
             return set()

@@ -116,11 +116,9 @@ class IndexForm(namedtuple("IndexForm", "label rank form")):
 
 
 def index_form(alg: StructureAlgebra) -> IndexForm:
-    """Determinant of the matrix of coefficients, sign-normalized."""
+    """Determinant of the matrix of coefficients, sign-normalized; at rank 1
+    the signed coordinate of 1, so 1 over Z and Z[t]."""
     n = alg.rank
-    if n == 1:
-        form = SparsePoly.constant(alg.base, 1, 1)
-        return IndexForm(alg.label, 1, form)
     det = determinant(matrix_of_coefficients(alg)).canonical_sign()
     expected = n * (n - 1) // 2
     if not det.is_homogeneous(expected):

@@ -48,8 +48,8 @@ def _charts(poly: SparsePoly, leads, values, cap: int, name: str):
     over leads and the later ones over values; unused coordinates stay 0.
     Chart 0 holds every term, chart j + 1 those of chart j with exponent 0
     at the j-th used coordinate, and chart m, past the last, is the point
-    0.  The charts run from m down to 0, so with leads starting at 1 the
-    points come in lexicographic order.
+    0, evaluated here, not walked.  The charts run from m down to 0, so
+    with leads starting at 1 the points come in lexicographic order.
     Raises BudgetExceeded, its message led by name, before the first
     evaluation when len(values)^m exceeds cap, m the number of used
     variables: the one budget check of every scan.
@@ -61,7 +61,8 @@ def _charts(poly: SparsePoly, leads, values, cap: int, name: str):
     for i in used:
         charts.append({e: c for e, c in charts[-1].items() if not e[i]})
     base, point = poly.base, [0] * poly.arity
-    for j in reversed(range(m + 1)):
+    yield tuple(point), SparsePoly(base, poly.arity, charts[m]).evaluate(point)
+    for j in reversed(range(m)):
         yield from _walk(base, charts[j], used[j:], [leads] + [values] * (m - j - 1), point)
 
 
@@ -77,11 +78,9 @@ def _walk(base, terms: dict, coords, ranges, point):
     when the walk starts and freed when it ends.  base is Z or F_p:
     coefficients are plain ints, reduced mod p once per line.  The last
     level is a univariate SparsePoly, the line, evaluated once per point.
+    coords is never empty: _charts evaluates the point 0 itself.
     """
     m = len(coords)
-    if not m:
-        yield tuple(point), SparsePoly(base, len(point), terms).evaluate(point)
-        return
     nodes = [[tuple([e[i] for i in coords]) for e in terms]]  # the suffixes at each level
     steps = []  # (transitions, largest exponent) of each level but the last
     for k in range(m - 1):

@@ -253,6 +253,21 @@ class TestCommands:
         assert (row["fixture"], row["check"], row["ok"]) == ("bad", "load", False)
         assert row["detail"].startswith(f"{tmp_path / 'bad.json'}: invalid JSON: ")
 
+    def test_failed_and_unknown_corpus_checks_exit_1(self, capsys, tmp_path, monkeypatch):
+        order = {"minpoly": [1, 0, 1], "basis": [[1, 0], [0, 1]]}  # Z[i], discriminant -4
+        doc = {"order": order, "expected": {"discriminant": 5, "nonsense": True}}
+        (tmp_path / "wrong.json").write_text(json.dumps(doc))
+        monkeypatch.setattr(fixtures, "corpus_dir", lambda: tmp_path)
+        code, out, err = run(capsys, "corpus", "--json")
+        assert code == 1 and err == ""
+        report = json.loads(out)
+        assert report["failures"] == 2
+        assert [(r["check"], r["ok"], r["detail"]) for r in report["results"]] == [
+            ("validate", True, "ok"),
+            ("discriminant", False, "got -4, want 5"),
+            ("nonsense", False, "error: unknown corpus check 'nonsense'"),
+        ]
+
     @pytest.mark.parametrize("command", ["search", "classify"])
     def test_negative_height_exit_1(self, capsys, command):
         code, out, err = run(capsys, command, fixture_path("gaussian_integers"), "--height", "-1")
@@ -378,6 +393,15 @@ class TestCommands:
         code, _, err = run(capsys, "search", fixture_path("cbrt175"), "--height", "20")
         assert code == 1
         assert "cap" in err
+
+    @pytest.mark.parametrize("raw", ["many", "0", "-5"])
+    def test_invalid_enum_cap_env_is_ignored(self, capsys, monkeypatch, raw):
+        argv = ("search", fixture_path("gaussian_integers"), "--height", "3")
+        monkeypatch.delenv("MONOGEN_MAX_ENUM", raising=False)
+        code, want, _ = run(capsys, *argv)
+        assert code == 0 and want
+        monkeypatch.setenv("MONOGEN_MAX_ENUM", raw)
+        assert run(capsys, *argv) == (0, want, f"ignoring invalid MONOGEN_MAX_ENUM={raw!r}\n")
 
 
 class TestDeterminism:

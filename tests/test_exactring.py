@@ -69,7 +69,7 @@ def v(i, arity=3, base=ZZ):
 
 
 def c(val, arity=3, base=ZZ):
-    return SparsePoly.constant(base, arity, val)
+    return SparsePoly(base, arity, {(0,) * arity: base.coerce(val)})
 
 
 def vandermonde(n, base=ZZ):

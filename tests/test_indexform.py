@@ -6,7 +6,7 @@ from sympy.polys.domains import ZZ as SZZ
 from sympy.polys.matrices import DomainMatrix
 
 from monogen.errors import LengthMismatch
-from monogen.algebra import OrderPresentation, power_basis_algebra, split_algebra
+from monogen.algebra import OrderPresentation, StructureAlgebra, power_basis_algebra, split_algebra
 from monogen.exactring import (
     BaseRing,
     Fp,
@@ -77,6 +77,29 @@ class TestIndexForm:
             f = index_form(alg)
             n = alg.rank
             assert f.form.is_homogeneous(n * (n - 1) // 2)
+
+
+@st.composite
+def rank_one_algebras(draw):
+    """e^2 = c*e and 1 = u*e with u*c = 1, over Z, F_p (p <= 7), Z[t] or F_p[t]."""
+    kind = draw(st.sampled_from(["Z", "Fp", "ZX", "FpX"]))
+    p = draw(st.sampled_from([2, 3, 5, 7])) if kind in ("Fp", "FpX") else None
+    u = draw(st.sampled_from([1, -1]) if p is None else st.integers(1, p - 1))
+    c = u if p is None else pow(u, -1, p)
+    return StructureAlgebra(BaseRing(kind, p), 1, [[[c]]], [u], f"e^2 = {c}e, 1 = {u}e")
+
+
+class TestRankOne:
+    @settings(max_examples=80, deadline=None)
+    @given(rank_one_algebras())
+    def test_form_is_the_one_by_one_determinant(self, alg):
+        base, p = alg.base, alg.base.p
+        form = index_form(alg).form
+        assert form.terms == determinant(matrix_of_coefficients(alg)).canonical_sign().terms
+        # 1 over Z and Z[t]; over F_p and F_p[t] the coordinate of 1, sign-normalized
+        u = alg.identity[0][0] if base.is_polynomial else alg.identity[0]
+        assert form.terms == {(0,): base.coerce(1 if p is None else min(u, p - u))}
+        assert check_monogenerator(alg, [0])["is_monogenerator"]
 
 
 @st.composite

@@ -40,8 +40,6 @@ UNREACHED = {
     "exactring.SparsePoly.__repr__",
     # BaseRing defines __eq__, so it needs __hash__ to stay hashable
     "exactring.BaseRing.__hash__",
-    # the index form of a rank-1 algebra
-    "exactring.SparsePoly.constant",
 }
 
 CO_OPTIMIZED = 0x1  # set on function bodies, not on module or class bodies

@@ -63,8 +63,8 @@ class TestLineScan:
     @settings(max_examples=300, deadline=None)
     @given(scan_cases())
     @example((SparsePoly(ZZ, 3), 2))
-    @example((SparsePoly.constant(Fp(5), 2, 7), 5))
-    @example((SparsePoly.constant(ZZ, 2, -1), 0))
+    @example((SparsePoly(Fp(5), 2, {(0, 0): 2}), 5))
+    @example((SparsePoly(ZZ, 2, {(0, 0): -1}), 0))
     @example((SparsePoly(ZZ, 4, {(2, 0, 0, 1): 1, (0, 0, 0, 3): -1, (1, 0, 0, 2): 2}), 2))
     @example((SparsePoly(Fp(3), 5, {(0, 2, 0, 1, 0): 2, (0, 0, 0, 0, 0): 1}), 3))
     @example((SparsePoly(Fp(3), 3, {(2, 0, 1): 1, (0, 0, 3): 2, (1, 0, 0): 2}), 3))
@@ -121,7 +121,7 @@ class TestProjectiveScan:
     @settings(max_examples=200, deadline=None)
     @given(projective_cases())
     @example((SparsePoly(Fp(3), 2), 3))
-    @example((SparsePoly.constant(Fp(5), 3, 2), 5))
+    @example((SparsePoly(Fp(5), 3, {(0, 0, 0): 2}), 5))
     @example((SparsePoly(Fp(3), 3, {(1, 0, 1): 1, (0, 1, 0): 2}), 3))
     def test_one_point_per_line(self, case):
         poly, p = case
@@ -259,7 +259,7 @@ def half_box_cases(draw):
 class TestHalfBox:
     @settings(max_examples=150, deadline=None)
     @given(half_box_cases())
-    @example((power_basis_algebra([-1, 1]), IndexForm("rank 1", 1, SparsePoly.constant(ZZ, 1, 1)), 2))
+    @example((power_basis_algebra([-1, 1]), IndexForm("rank 1", 1, SparsePoly(ZZ, 1, {(0,): 1})), 2))
     def test_matches_full_box(self, case):
         alg, form, h = case
         m = len(form.form.variables_used())
